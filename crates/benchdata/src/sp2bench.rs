@@ -325,7 +325,7 @@ pub fn queries() -> Vec<(&'static str, String)> {
             } ORDER BY ?ee LIMIT 10 OFFSET 5"#),
         ),
         // q13/q14: the two Q5 variants — author names of article
-        // creators, joined implicitly (q13) and via FILTER equality (q14).
+        // creators, joined via FILTER equality (q13) and implicitly (q14).
         (
             "q13",
             q(r#"SELECT DISTINCT ?person ?name WHERE {

@@ -33,6 +33,9 @@ pub(crate) struct CoreMetrics {
     pub(crate) plan_hits: Arc<Counter>,
     /// Physical plans computed (first executions and drift replans).
     pub(crate) plans_computed: Arc<Counter>,
+    /// Cross-product probes in the computed plans (see
+    /// [`ProgramPlan::cross_products`](sparqlog_datalog::ProgramPlan::cross_products)).
+    pub(crate) plan_cross_products: Arc<Counter>,
     /// Queries evaluated to completion.
     pub(crate) queries: Arc<Counter>,
     /// Evaluation wall time per completed query, µs.
@@ -83,6 +86,10 @@ impl CoreMetrics {
             plans_computed: r.counter(
                 "sparqlog_plans_computed_total",
                 "Physical plans computed: first executions and statistics-drift replans.",
+            ),
+            plan_cross_products: r.counter(
+                "sparqlog_plan_cross_products_total",
+                "Cross-product probes in computed plans: a body atom after the first with no bound variable and no equality key.",
             ),
             queries: r.counter("sparqlog_queries_total", "Queries evaluated to completion."),
             query_duration_us: r.histogram(

@@ -22,11 +22,13 @@
 //!   sequences/alternatives and evaluated with set semantics, like the
 //!   other unbounded operators.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sparqlog_datalog::{
     AggSpec, AtomArg, Const, Expr as DExpr, PostOp, Program, RuleBuilder, Sym, SymbolTable,
 };
+use sparqlog_sparql::expr::CmpOp as SCmp;
 use sparqlog_sparql::{
     AggFunc as SAgg, Expr as SExpr, GraphPattern, GraphSpec, OrderCondition, PropertyPath, Query,
     QueryForm, SelectItem, TermPattern, Var,
@@ -126,6 +128,7 @@ pub fn translate_query(
         program: Program::new(),
         prefix: prefix.to_string(),
         rule_seq: 0,
+        pushed: HashMap::new(),
     };
     t.translate(query)
 }
@@ -135,6 +138,10 @@ struct Translator {
     program: Program,
     prefix: String,
     rule_seq: usize,
+    /// FILTER conjuncts copied below their FILTER, by the pattern-tree
+    /// node whose rule receives them (see
+    /// [`Translator::push_filter_conjuncts`]).
+    pushed: HashMap<u64, Vec<SExpr>>,
 }
 
 /// The nil tuple ID `[]` forcing set semantics (§5.2).
@@ -178,13 +185,14 @@ impl Translator {
         let ctx = GraphCtx::Const(default.clone());
 
         // Join-order optimisation before translation: reorder join
-        // operands by variable connectivity so no rule joins two
-        // disconnected sub-patterns (a cross product). The paper notes
-        // that "query plan optimization provides a huge effect on
+        // operands by variable connectivity — shared variables, and the
+        // variable equalities of an enclosing FILTER — so no rule joins
+        // two disconnected sub-patterns (a cross product). The paper
+        // notes that "query plan optimization provides a huge effect on
         // performance" (§7) and relies on Vadalog's optimizer; this is
         // the SPARQL-side half of that optimisation. Join is commutative
         // and associative under bag semantics, so results are unchanged.
-        let pattern = reorder_joins(&query.pattern);
+        let pattern = reorder_joins(&query.pattern, &[]);
 
         // Pattern tree root is node 1 (Figure 2: the WHERE clause becomes
         // ans1; the SELECT clause becomes ans).
@@ -553,6 +561,7 @@ impl Translator {
                     }
                 }
                 b.pos(self.pred(preds::TRIPLE), vec![s, pr, o, d]);
+                self.add_pushed(&mut b, idx)?;
                 self.assign_id(&mut b, "Id", dst, &bound, idx);
                 self.program.rules.push(b.build());
                 Ok(())
@@ -641,6 +650,7 @@ impl Translator {
                 b.cond(c);
                 self.assign_id(&mut b, "Id", dst, &body_vars, idx);
                 self.program.rules.push(b.build());
+                self.push_filter_conjuncts(p, idx);
                 self.tau(p1, dst, ctx, 2 * idx, force_set)
             }
             GraphPattern::Graph(spec, p1) => {
@@ -712,6 +722,7 @@ impl Translator {
                 }
                 let id1 = AtomArg::Var(b.var("Id1"));
                 b.pos(self.ans_pred(2 * idx), vec![id1, s, o, d]);
+                self.add_pushed(&mut b, idx)?;
                 self.assign_id(&mut b, "Id", dst, &bound, idx);
                 self.program.rules.push(b.build());
 
@@ -795,6 +806,7 @@ impl Translator {
         args.push(self.gctx_arg(&mut b, ctx));
         b.pos(self.ans_pred(2 * idx + 1), args);
 
+        self.add_pushed(&mut b, idx)?;
         self.assign_id(&mut b, "Id", dst, &body_vars, idx);
         self.program.rules.push(b.build());
         Ok(())
@@ -1470,6 +1482,71 @@ impl Translator {
 
     // --------------------------------------------------- filter exprs
 
+    /// Filter-aware planning, the T_Q half: registers the top-level `&&`
+    /// conjuncts of the FILTER chain starting at `p` (node `idx`) for
+    /// copying into rules of the join spine below it, where the planner
+    /// turns them into probe keys. The FILTER rule itself keeps the whole
+    /// condition as the exact check.
+    ///
+    /// A conjunct may move below a FILTER only onto a sub-pattern that
+    /// *certainly* binds its variables ([`certain_vars`]): there a
+    /// mapping's value of each variable is the value in the final joined
+    /// mapping, so the conjunct evaluates the same at both places
+    /// (Pérez et al., *Semantics and Complexity of SPARQL*). Hence:
+    /// - `?x = ?y` / `sameTerm(?x, ?y)` goes to the lowest join rule of
+    ///   the spine that certainly binds both variables;
+    /// - `?x = c` with `c` non-numeric, or `sameTerm(?x, c)`, goes to
+    ///   every triple or path leaf rule of the spine that binds `?x`.
+    ///
+    /// Conjuncts under `||` or `!` stay whole and are never moved.
+    /// Registration is idempotent, so the inner FILTERs of a chain
+    /// re-registering their own conjuncts add nothing.
+    fn push_filter_conjuncts(&mut self, p: &GraphPattern, mut idx: u64) {
+        let mut conjuncts = Vec::new();
+        let mut spine = p;
+        while let GraphPattern::Filter(inner, c) = spine {
+            top_conjuncts(c, &mut conjuncts);
+            spine = inner;
+            idx *= 2;
+        }
+        for c in conjuncts {
+            let targets = if let Some((x, y)) = var_var_edge(&c) {
+                lowest_join(spine, idx, x, y).into_iter().collect()
+            } else if let Some(x) = var_const_key(&c, &self.symbols) {
+                let mut leaves = Vec::new();
+                spine_leaves(spine, idx, &mut leaves);
+                leaves
+                    .into_iter()
+                    .filter(|(leaf, _)| {
+                        matches!(leaf, GraphPattern::Triple(_) | GraphPattern::Path { .. })
+                            && leaf.vars().contains(x)
+                    })
+                    .map(|(_, at)| at)
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            for at in targets {
+                let conds = self.pushed.entry(at).or_default();
+                if !conds.contains(&c) {
+                    conds.push(c.clone());
+                }
+            }
+        }
+    }
+
+    /// Adds the FILTER conjuncts registered for node `idx` to its rule.
+    /// They mention only variables the node certainly binds, all in scope
+    /// under their `v_` names; the body atoms are already in place, so
+    /// rule-text order stays safe.
+    fn add_pushed(&self, b: &mut RuleBuilder, idx: u64) -> Result<(), TranslationError> {
+        for c in self.pushed.get(&idx).into_iter().flatten() {
+            let d = self.translate_expr(c, b, &|name| Some(format!("v_{name}")))?;
+            b.cond(d);
+        }
+        Ok(())
+    }
+
     /// Translates a SPARQL filter expression into a Datalog expression
     /// (§5.1 "Filter constraints": conditions are copied into the rule
     /// body). `scope` maps a SPARQL variable name to its Datalog variable
@@ -1492,49 +1569,247 @@ impl Translator {
 /// connectivity: each operand after the first shares at least one
 /// variable with the patterns before it whenever possible. Rebuilds a
 /// left-deep join tree. Applied recursively below every operator.
-fn reorder_joins(p: &GraphPattern) -> GraphPattern {
+///
+/// `conjuncts` are the top-level `&&` conjuncts of the FILTER chain
+/// directly enclosing a join spine. A variable equality among them
+/// connects two operands too — but only when each side is *certainly*
+/// bound by its operand ([`certain_vars`]), since only then can the
+/// equality be pushed onto the join rule as its key. When the operands
+/// fall into several groups connected by shared variables (SP²Bench
+/// q13: two sub-patterns tied only by `?name = ?name2`), each group is
+/// joined on its own first and the groups are then joined by the
+/// equalities: the tree becomes bushy, so no group's rows are
+/// multiplied by another's operands before the equality key filters
+/// them.
+fn reorder_joins(p: &GraphPattern, conjuncts: &[SExpr]) -> GraphPattern {
     match p {
         GraphPattern::Join(_, _) => {
             let mut leaves = Vec::new();
             flatten_joins(p, &mut leaves);
-            let leaves: Vec<GraphPattern> = leaves.into_iter().map(reorder_joins).collect();
-
-            let mut remaining: Vec<GraphPattern> = leaves;
-            let mut ordered = vec![remaining.remove(0)];
-            let mut bound: Vec<Var> = ordered[0].vars();
-            while !remaining.is_empty() {
-                let pick = remaining
-                    .iter()
-                    .position(|cand| cand.vars().iter().any(|v| bound.contains(v)))
-                    .unwrap_or(0);
-                let next = remaining.remove(pick);
-                for v in next.vars() {
-                    if !bound.contains(&v) {
-                        bound.push(v);
-                    }
-                }
-                ordered.push(next);
+            let leaves: Vec<GraphPattern> =
+                leaves.into_iter().map(|l| reorder_joins(l, &[])).collect();
+            let edges: Vec<(&Var, &Var)> = conjuncts.iter().filter_map(var_var_edge).collect();
+            if !edges.is_empty() {
+                let groups = shared_var_groups(leaves);
+                let units = groups
+                    .into_iter()
+                    .map(|g| left_deep(greedy_join_order(g, &edges)))
+                    .collect();
+                return left_deep(greedy_join_order(units, &edges));
             }
-            let mut it = ordered.into_iter();
-            let first = it.next().expect("non-empty join");
-            it.fold(first, |acc, next| {
-                GraphPattern::Join(Box::new(acc), Box::new(next))
-            })
+            left_deep(greedy_join_order(leaves, &edges))
         }
-        GraphPattern::Union(a, b) => {
-            GraphPattern::Union(Box::new(reorder_joins(a)), Box::new(reorder_joins(b)))
+        GraphPattern::Union(a, b) => GraphPattern::Union(
+            Box::new(reorder_joins(a, &[])),
+            Box::new(reorder_joins(b, &[])),
+        ),
+        GraphPattern::Optional(a, b) => GraphPattern::Optional(
+            Box::new(reorder_joins(a, &[])),
+            Box::new(reorder_joins(b, &[])),
+        ),
+        GraphPattern::Minus(a, b) => GraphPattern::Minus(
+            Box::new(reorder_joins(a, &[])),
+            Box::new(reorder_joins(b, &[])),
+        ),
+        GraphPattern::Filter(a, c) => {
+            let mut inner = conjuncts.to_vec();
+            top_conjuncts(c, &mut inner);
+            GraphPattern::Filter(Box::new(reorder_joins(a, &inner)), c.clone())
         }
-        GraphPattern::Optional(a, b) => {
-            GraphPattern::Optional(Box::new(reorder_joins(a)), Box::new(reorder_joins(b)))
-        }
-        GraphPattern::Minus(a, b) => {
-            GraphPattern::Minus(Box::new(reorder_joins(a)), Box::new(reorder_joins(b)))
-        }
-        GraphPattern::Filter(a, c) => GraphPattern::Filter(Box::new(reorder_joins(a)), c.clone()),
         GraphPattern::Graph(spec, a) => {
-            GraphPattern::Graph(spec.clone(), Box::new(reorder_joins(a)))
+            GraphPattern::Graph(spec.clone(), Box::new(reorder_joins(a, &[])))
         }
         leaf => leaf.clone(),
+    }
+}
+
+/// Orders join operands greedily: each next operand is the first one
+/// connected to those before it — by a shared variable, or by an
+/// equality edge whose sides the two certainly bind — falling back to
+/// the first remaining operand when none is.
+fn greedy_join_order(
+    mut remaining: Vec<GraphPattern>,
+    edges: &[(&Var, &Var)],
+) -> Vec<GraphPattern> {
+    let mut ordered = vec![remaining.remove(0)];
+    let mut bound: Vec<Var> = ordered[0].vars();
+    let mut certain: Vec<Var> = certain_vars(&ordered[0]);
+    while !remaining.is_empty() {
+        let pick = remaining
+            .iter()
+            .position(|cand| {
+                cand.vars().iter().any(|v| bound.contains(v))
+                    || (!edges.is_empty() && {
+                        let cv = certain_vars(cand);
+                        edges.iter().any(|(x, y)| {
+                            (cv.contains(x) && certain.contains(y))
+                                || (cv.contains(y) && certain.contains(x))
+                        })
+                    })
+            })
+            .unwrap_or(0);
+        let next = remaining.remove(pick);
+        for v in next.vars() {
+            if !bound.contains(&v) {
+                bound.push(v);
+            }
+        }
+        for v in certain_vars(&next) {
+            if !certain.contains(&v) {
+                certain.push(v);
+            }
+        }
+        ordered.push(next);
+    }
+    ordered
+}
+
+/// Folds join operands into a left-deep join tree.
+fn left_deep(operands: Vec<GraphPattern>) -> GraphPattern {
+    let mut it = operands.into_iter();
+    let first = it.next().expect("non-empty join");
+    it.fold(first, |acc, next| {
+        GraphPattern::Join(Box::new(acc), Box::new(next))
+    })
+}
+
+/// Partitions join operands into the groups connected by shared
+/// variables, each group in source order, groups ordered by their first
+/// operand.
+fn shared_var_groups(operands: Vec<GraphPattern>) -> Vec<Vec<GraphPattern>> {
+    let vars: Vec<Vec<Var>> = operands.iter().map(GraphPattern::vars).collect();
+    // label[i]: the smallest operand index of operand i's group so far.
+    let mut label: Vec<usize> = (0..operands.len()).collect();
+    for i in 0..vars.len() {
+        for j in i + 1..vars.len() {
+            if label[i] != label[j] && vars[i].iter().any(|v| vars[j].contains(v)) {
+                let (keep, merged) = (label[i].min(label[j]), label[i].max(label[j]));
+                for l in &mut label {
+                    if *l == merged {
+                        *l = keep;
+                    }
+                }
+            }
+        }
+    }
+    let mut labels: Vec<usize> = Vec::new();
+    let mut groups: Vec<Vec<GraphPattern>> = Vec::new();
+    for (op, l) in operands.into_iter().zip(label) {
+        match labels.iter().position(|&k| k == l) {
+            Some(k) => groups[k].push(op),
+            None => {
+                labels.push(l);
+                groups.push(vec![op]);
+            }
+        }
+    }
+    groups
+}
+
+/// The variables every solution of `p` binds: triples, paths and joins
+/// bind all of theirs; UNION only those bound in both branches; OPTIONAL
+/// and MINUS only their left operand's. A variable outside this set may
+/// be unbound (null) in a solution, so no FILTER conjunct on it may move
+/// below the FILTER.
+fn certain_vars(p: &GraphPattern) -> Vec<Var> {
+    match p {
+        GraphPattern::Empty => Vec::new(),
+        GraphPattern::Triple(_) | GraphPattern::Path { .. } => p.vars(),
+        GraphPattern::Join(a, b) => {
+            let mut vs = certain_vars(a);
+            for v in certain_vars(b) {
+                if !vs.contains(&v) {
+                    vs.push(v);
+                }
+            }
+            vs
+        }
+        GraphPattern::Union(a, b) => {
+            let right = certain_vars(b);
+            certain_vars(a)
+                .into_iter()
+                .filter(|v| right.contains(v))
+                .collect()
+        }
+        GraphPattern::Optional(a, _) | GraphPattern::Minus(a, _) | GraphPattern::Filter(a, _) => {
+            certain_vars(a)
+        }
+        GraphPattern::Graph(spec, a) => {
+            let mut vs = certain_vars(a);
+            if let GraphSpec::Var(g) = spec {
+                if !vs.contains(g) {
+                    vs.push(g.clone());
+                }
+            }
+            vs
+        }
+    }
+}
+
+/// Appends the top-level `&&` conjuncts of `c` to `out`.
+fn top_conjuncts(c: &SExpr, out: &mut Vec<SExpr>) {
+    match c {
+        SExpr::And(a, b) => {
+            top_conjuncts(a, out);
+            top_conjuncts(b, out);
+        }
+        other => out.push(other.clone()),
+    }
+}
+
+/// `?x = ?y` or `sameTerm(?x, ?y)` over two distinct variables.
+fn var_var_edge(c: &SExpr) -> Option<(&Var, &Var)> {
+    match c {
+        SExpr::Compare(SCmp::Eq, a, b) | SExpr::SameTerm(a, b) => match (a.as_ref(), b.as_ref()) {
+            (SExpr::Var(x), SExpr::Var(y)) if x != y => Some((x, y)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The variable of `?x = c` with `c` non-numeric, or of `sameTerm(?x, c)`
+/// with any constant: the conjuncts whose key is exact on `TermId`s.
+fn var_const_key<'e>(c: &'e SExpr, symbols: &SymbolTable) -> Option<&'e Var> {
+    let (same_term, a, b) = match c {
+        SExpr::Compare(SCmp::Eq, a, b) => (false, a, b),
+        SExpr::SameTerm(a, b) => (true, a, b),
+        _ => return None,
+    };
+    match (a.as_ref(), b.as_ref()) {
+        (SExpr::Var(x), SExpr::Const(t)) | (SExpr::Const(t), SExpr::Var(x))
+            if same_term || term_to_const(t, symbols).as_f64(symbols).is_none() =>
+        {
+            Some(x)
+        }
+        _ => None,
+    }
+}
+
+/// The lowest join node of the spine rooted at `p` (node `idx`) that
+/// certainly binds both `x` and `y`, if any.
+fn lowest_join(p: &GraphPattern, idx: u64, x: &Var, y: &Var) -> Option<u64> {
+    let GraphPattern::Join(a, b) = p else {
+        return None;
+    };
+    let cv = certain_vars(p);
+    if !(cv.contains(x) && cv.contains(y)) {
+        return None;
+    }
+    lowest_join(a, 2 * idx, x, y)
+        .or_else(|| lowest_join(b, 2 * idx + 1, x, y))
+        .or(Some(idx))
+}
+
+/// The operands of the join spine rooted at `p` (node `idx`), with their
+/// node indices.
+fn spine_leaves<'p>(p: &'p GraphPattern, idx: u64, out: &mut Vec<(&'p GraphPattern, u64)>) {
+    match p {
+        GraphPattern::Join(a, b) => {
+            spine_leaves(a, 2 * idx, out);
+            spine_leaves(b, 2 * idx + 1, out);
+        }
+        other => out.push((other, idx)),
     }
 }
 

@@ -769,6 +769,10 @@ impl FrozenDatabase {
         let entry = self.compute_plan(cached, options, &stats)?;
         *cached.plan.write().unwrap() = Some(entry.clone());
         self.cache.metrics.plans_computed.inc();
+        self.cache
+            .metrics
+            .plan_cross_products
+            .add(entry.plan.cross_products() as u64);
         Some(entry)
     }
 

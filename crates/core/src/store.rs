@@ -1979,6 +1979,46 @@ mod tests {
     }
 
     #[test]
+    fn cross_product_counter_sees_disconnected_joins_only() {
+        let store = Store::new();
+        store
+            .load_turtle(
+                r#"@prefix ex: <http://ex.org/> .
+                   ex:a1 a ex:Article ; ex:creator ex:p1 .
+                   ex:i1 a ex:Inproc ; ex:creator ex:p2 .
+                   ex:p1 ex:name "Ann" . ex:p2 ex:name "Ann" ."#,
+            )
+            .unwrap();
+        let reg = store.metrics();
+        let cross = || reg.counter_value("sparqlog_plan_cross_products_total");
+        // SP²Bench q13's shape: the FILTER equality keys the join of the
+        // two sub-patterns, so the plan has no cross product.
+        let q13 = store
+            .prepare(
+                "PREFIX ex: <http://ex.org/> SELECT DISTINCT ?person ?name WHERE {
+                   ?article a ex:Article . ?article ex:creator ?person .
+                   ?inproc a ex:Inproc . ?inproc ex:creator ?person2 .
+                   ?person ex:name ?name . ?person2 ex:name ?name2
+                   FILTER (?name = ?name2) }",
+            )
+            .unwrap();
+        let snapshot = store.snapshot();
+        assert_eq!(snapshot.execute_prepared(&q13).unwrap().len(), 1);
+        assert_eq!(cross(), Some(0));
+        let plan = snapshot.explain(&q13).unwrap();
+        assert!(plan.contains("keyed=") && !plan.contains("cross"), "{plan}");
+        // A genuinely disconnected pattern with no filter still counts.
+        let disconnected = store
+            .prepare(
+                "PREFIX ex: <http://ex.org/> SELECT * WHERE { ?a a ex:Article . ?i a ex:Inproc }",
+            )
+            .unwrap();
+        assert_eq!(snapshot.execute_prepared(&disconnected).unwrap().len(), 1);
+        assert_eq!(cross(), Some(1));
+        assert!(snapshot.explain(&disconnected).unwrap().contains(" cross"));
+    }
+
+    #[test]
     fn profiled_execution_reports_rules_and_rounds() {
         let store = borders_store();
         let q = "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders+ ?b }";

@@ -163,3 +163,123 @@ fn join_reordering_avoids_cross_products() {
         }
     }
 }
+
+/// The join rules of a program: rules whose body holds two answer atoms.
+fn join_rules<'p>(
+    p: &'p sparqlog_datalog::Program,
+    symbols: &SymbolTable,
+) -> Vec<&'p sparqlog_datalog::Rule> {
+    p.rules
+        .iter()
+        .filter(|r| {
+            r.body
+                .iter()
+                .filter(
+                    |i| matches!(i, BodyItem::Pos(a) if symbols.resolve(a.pred).contains("ans")),
+                )
+                .count()
+                == 2
+        })
+        .collect()
+}
+
+/// The condition items of a rule body.
+fn conds(r: &sparqlog_datalog::Rule) -> Vec<&Expr> {
+    r.body
+        .iter()
+        .filter_map(|i| match i {
+            BodyItem::Cond(e) => Some(e),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn equality_filter_connects_disconnected_patterns() {
+    // SP²Bench q13's shape: two sub-patterns tied only by a FILTER
+    // equality between their name variables.
+    let (p, symbols) = translate(
+        "SELECT DISTINCT ?person ?name WHERE {
+           ?article <http://type> <http://Article> .
+           ?article <http://creator> ?person .
+           ?inproc <http://type> <http://Inproceedings> .
+           ?inproc <http://creator> ?person2 .
+           ?person <http://name> ?name .
+           ?person2 <http://name> ?name2
+           FILTER (?name = ?name2) }",
+    );
+    let joins = join_rules(&p, &symbols);
+    assert_eq!(joins.len(), 5);
+    let mut pushed = 0;
+    for rule in joins {
+        let has_comp = rule
+            .body
+            .iter()
+            .any(|i| matches!(i, BodyItem::Pos(a) if symbols.resolve(a.pred).as_ref() == "comp"));
+        let has_eq = conds(rule)
+            .iter()
+            .any(|e| matches!(e, Expr::Cmp(sparqlog_datalog::CmpOp::Eq, _, _)));
+        assert!(
+            has_comp || has_eq,
+            "join rule with neither a shared variable nor a pushed equality: {}",
+            rule.display(&symbols)
+        );
+        pushed += has_eq as usize;
+    }
+    assert_eq!(pushed, 1, "the equality lands on exactly one join rule");
+    // The FILTER rule keeps the whole condition as the exact check.
+    assert_eq!(p.rules.iter().map(|r| conds(r).len()).sum::<usize>(), 2);
+}
+
+#[test]
+fn equality_under_or_is_not_pushed() {
+    let (p, _) = translate(
+        "SELECT * WHERE { ?a <http://p> ?x . ?b <http://q> ?y
+           FILTER (?x = ?y || ?x = <http://c>) }",
+    );
+    // Only the FILTER rule carries a condition: the disjunction is one
+    // conjunct and neither of its sides may move below it.
+    let with_conds: Vec<_> = p.rules.iter().filter(|r| !conds(r).is_empty()).collect();
+    assert_eq!(with_conds.len(), 1);
+    assert!(matches!(conds(with_conds[0])[0], Expr::Or(_, _)));
+}
+
+#[test]
+fn optional_only_variable_is_not_pushed() {
+    // ?z is bound only inside the OPTIONAL: it may be unbound in a
+    // solution, so `?x = ?z` must stay in the FILTER rule above the join.
+    let (p, _) = translate(
+        "SELECT * WHERE { ?a <http://p> ?x .
+           { ?b <http://q> ?y OPTIONAL { ?b <http://r> ?z } }
+           FILTER (?x = ?z) }",
+    );
+    assert_eq!(p.rules.iter().map(|r| conds(r).len()).sum::<usize>(), 1);
+}
+
+#[test]
+fn constant_equalities_push_to_leaves_by_type() {
+    // A non-numeric constant reaches the leaf binding the variable; a
+    // numeric one (compared by value) stays in the FILTER rule only.
+    let leaf_conds = |q: &str| {
+        let (p, symbols) = translate(q);
+        p.rules
+            .iter()
+            .filter(|r| {
+                r.body.iter().any(
+                    |i| matches!(i, BodyItem::Pos(a) if symbols.resolve(a.pred).as_ref() == "triple"),
+                )
+            })
+            .map(|r| conds(r).len())
+            .sum::<usize>()
+    };
+    assert_eq!(
+        leaf_conds(
+            "SELECT * WHERE { ?a <http://t> <http://A> . ?a ?p ?v FILTER (?p = <http://pages>) }"
+        ),
+        1
+    );
+    assert_eq!(
+        leaf_conds("SELECT * WHERE { ?a <http://t> <http://A> . ?a ?p ?v FILTER (?v = 3) }"),
+        0
+    );
+}

@@ -63,6 +63,7 @@ use crate::database::{row_hash, ColumnBatch, Database, Index, Mask, Relation, St
 use crate::frozen::FrozenDb;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::govern::{AbortReason, Budget};
+use crate::plan::{atom_probe, KeyArg};
 use crate::pool::Pool;
 use crate::rule::{AggFunc, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
 use crate::stratify::{stratify, StratifyError};
@@ -1045,15 +1046,36 @@ pub fn order_cmp(a: &Const, b: &Const, symbols: &SymbolTable) -> std::cmp::Order
 
 // ------------------------------------------------------------------ plans
 
+/// An index probe: the positions with a known value and, one per `mask`
+/// bit in ascending position order, where each key value comes from.
+#[derive(Debug, Clone)]
+struct Probe {
+    mask: Mask,
+    key: Box<[EArg]>,
+}
+
+/// The fallback of a probe keyed by an `=` condition on a variable: if
+/// any of `vars` holds a numeric value at probe time, `TermId` equality
+/// could miss value-equal rows (`1 = 1.0`), so `fallback` — the probe
+/// without those positions — runs instead. The condition step after the
+/// scan stays the exact check either way.
+#[derive(Debug, Clone)]
+struct Guard {
+    vars: Box<[VarId]>,
+    fallback: Probe,
+}
+
 /// One compiled body step.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Scan/lookup a positive atom. `mask` = positions bound at this point
-    /// (constants or already-bound variables).
+    /// Scan/lookup a positive atom. The probe's mask covers constants,
+    /// already-bound variables and equality-condition keys (see
+    /// [`crate::plan::atom_probe`]).
     Scan {
         item_idx: usize,
         pred: Sym,
-        mask: Mask,
+        probe: Probe,
+        guard: Option<Box<Guard>>,
     },
     /// Check absence of a fully-bound negated atom.
     NegCheck { item_idx: usize, pred: Sym },
@@ -1143,30 +1165,48 @@ fn compile_rule(
         let item = &rule.body[item_idx];
         match item {
             BodyItem::Pos(a) => {
-                let mut mask: Mask = 0;
-                for (i, arg) in a.args.iter().enumerate() {
-                    match arg {
-                        AtomArg::Const(_) => mask |= 1 << i,
-                        AtomArg::Var(v) => {
-                            if bound[*v as usize] {
-                                mask |= 1 << i;
-                            }
+                let p = atom_probe(rule, a, &bound, symbols);
+                let enc = |k: &KeyArg<'_>| match k {
+                    KeyArg::Const(c) => EArg::Id(dict.encode(c)),
+                    KeyArg::Var(v) => EArg::Var(*v),
+                };
+                let probe = Probe {
+                    mask: p.mask,
+                    key: p.key.iter().map(enc).collect(),
+                };
+                let guard = (p.guarded != 0).then(|| {
+                    let mut vars = Vec::new();
+                    let mut key = Vec::new();
+                    let positions = (0..a.args.len()).filter(|i| p.mask & (1 << i) != 0);
+                    for (i, k) in positions.zip(&p.key) {
+                        match k {
+                            KeyArg::Var(v) if p.guarded & (1 << i) != 0 => vars.push(*v),
+                            _ => key.push(enc(k)),
                         }
                     }
+                    Box::new(Guard {
+                        vars: vars.into(),
+                        fallback: Probe {
+                            mask: p.mask & !p.guarded,
+                            key: key.into(),
+                        },
+                    })
+                });
+                for v in a.vars() {
+                    bound[v as usize] = true;
                 }
-                for arg in &a.args {
-                    if let AtomArg::Var(v) = arg {
-                        bound[*v as usize] = true;
+                let fallback_mask = guard.as_ref().map_or(0, |g| g.fallback.mask);
+                for mask in [probe.mask, fallback_mask] {
+                    if mask != 0 {
+                        index_needs.push((a.pred, mask));
                     }
-                }
-                if mask != 0 {
-                    index_needs.push((a.pred, mask));
                 }
                 enc_atoms[item_idx] = Some(encode_atom(a, dict));
                 steps.push(Step::Scan {
                     item_idx,
                     pred: a.pred,
-                    mask,
+                    probe,
+                    guard,
                 });
             }
             BodyItem::Neg(a) => {
@@ -1428,21 +1468,29 @@ enum ScanIndex<'d> {
     Lazy(Arc<std::sync::OnceLock<Index>>),
 }
 
-/// A scan step's relation and hash index, resolved once per rule pass so
-/// the probe loop never re-hashes the `(pred, mask)` pair per tuple.
+impl ScanIndex<'_> {
+    #[inline]
+    fn get(&self) -> Option<&Index> {
+        match self {
+            ScanIndex::Eager(ix) => Some(ix),
+            ScanIndex::Lazy(cell) => cell.get(),
+        }
+    }
+}
+
+/// A scan step's relation and hash indexes (the probe's and, for a
+/// guarded key, the fallback's), resolved once per rule pass so the probe
+/// loop never re-hashes the `(pred, mask)` pair per tuple.
 struct ResolvedScan<'d> {
     rel: Option<&'d Relation>,
     index: Option<ScanIndex<'d>>,
+    fallback: Option<ScanIndex<'d>>,
 }
 
 impl ResolvedScan<'_> {
     #[inline]
     fn index(&self) -> Option<&Index> {
-        match &self.index {
-            Some(ScanIndex::Eager(ix)) => Some(ix),
-            Some(ScanIndex::Lazy(cell)) => cell.get(),
-            None => None,
-        }
+        self.index.as_ref().and_then(ScanIndex::get)
     }
 }
 
@@ -1452,25 +1500,33 @@ impl ResolvedScan<'_> {
 /// the masks live plans name — falls back to the relation's shared
 /// lazily built index, initialised here, outside the probe loop.
 fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database) -> Vec<ResolvedScan<'d>> {
+    fn resolve(rel: Option<&Relation>, mask: Mask) -> Option<ScanIndex<'_>> {
+        let r = rel?;
+        if mask == 0 {
+            return None;
+        }
+        match r.hash_index(mask) {
+            Some(ix) => Some(ScanIndex::Eager(ix)),
+            None => r.shared_index(mask).map(ScanIndex::Lazy),
+        }
+    }
     plan.steps
         .iter()
         .map(|step| match step {
-            Step::Scan { pred, mask, .. } => {
+            Step::Scan {
+                pred, probe, guard, ..
+            } => {
                 let rel = db.relation(*pred);
-                let index = rel.and_then(|r| {
-                    if *mask == 0 {
-                        return None;
-                    }
-                    match r.hash_index(*mask) {
-                        Some(ix) => Some(ScanIndex::Eager(ix)),
-                        None => r.shared_index(*mask).map(ScanIndex::Lazy),
-                    }
-                });
-                ResolvedScan { rel, index }
+                ResolvedScan {
+                    rel,
+                    index: resolve(rel, probe.mask),
+                    fallback: guard.as_ref().and_then(|g| resolve(rel, g.fallback.mask)),
+                }
             }
             _ => ResolvedScan {
                 rel: None,
                 index: None,
+                fallback: None,
             },
         })
         .collect()
@@ -1567,13 +1623,16 @@ fn eval_delta_probe(
     ticks: &mut u64,
 ) -> Option<Result<(), EvalError>> {
     let [Step::Scan { item_idx: i0, .. }, Step::Scan {
-        item_idx: i1, mask, ..
+        item_idx: i1,
+        probe,
+        guard: None,
+        ..
     }] = &plan.steps[..]
     else {
         return None;
     };
-    let (i0, i1, mask) = (*i0, *i1, *mask);
-    if i0 != di || i1 == di || mask == 0 {
+    let (i0, i1) = (*i0, *i1);
+    if i0 != di || i1 == di || probe.mask == 0 {
         return None;
     }
     let atom0 = plan.enc_atoms[i0]
@@ -1596,27 +1655,10 @@ fn eval_delta_probe(
             continue;
         };
         let mut key = [TermId::NULL; MAX_COLS];
-        let mut klen = 0usize;
-        let mut ok = true;
-        for (i, arg) in atom1.args.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                key[klen] = match arg {
-                    EArg::Id(id) => *id,
-                    EArg::Var(v) => match env[*v as usize] {
-                        Some(id) => id,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                };
-                klen += 1;
-            }
-        }
-        if !ok {
+        let Some(klen) = probe_key(probe, &env, &mut key) else {
             unbind_atom(atom0, undo0, &mut env);
             return Some(Err(EvalError::Unsafe("unbound key var".into())));
-        }
+        };
         if let Some(bucket) = index.get(&row_hash(&key[..klen])) {
             for &i in bucket {
                 // Tick per bucket element, matching the general join's
@@ -1706,7 +1748,12 @@ where
         return emit(env, ctx);
     };
     match step {
-        Step::Scan { item_idx, mask, .. } => {
+        Step::Scan {
+            item_idx,
+            probe,
+            guard,
+            ..
+        } => {
             let atom = plan.enc_atoms[*item_idx]
                 .as_ref()
                 .expect("scan step on non-positive item");
@@ -1736,24 +1783,29 @@ where
             }
             let rs = &resolved[step_idx];
             let Some(rel) = rs.rel else { return Ok(()) };
-            match rs.index() {
-                Some(index) if *mask != 0 => {
-                    // Hash probe on the bound positions; the key lives in
+            // A guarded condition key whose value is numeric probes the
+            // fallback: `1 = 1.0` holds with different ids.
+            let numeric = |vars: &[VarId]| {
+                vars.iter().any(|v| {
+                    env[*v as usize].is_some_and(|id| ctx.dict.is_numeric(id, ctx.symbols))
+                })
+            };
+            let (probe, index) = match guard {
+                Some(g) if numeric(&g.vars) => {
+                    (&g.fallback, rs.fallback.as_ref().and_then(ScanIndex::get))
+                }
+                _ => (probe, rs.index()),
+            };
+            match index {
+                Some(index) if probe.mask != 0 => {
+                    // Hash probe on the known positions; the key lives in
                     // a stack buffer — the hot loop does not allocate.
                     // Bucket rows that merely collide on the 64-bit key
-                    // hash fail `bind_atom` below, so results stay exact.
+                    // hash fail `bind_atom` below (or, for a condition
+                    // key, the condition step), so results stay exact.
                     let mut key = [TermId::NULL; MAX_COLS];
-                    let mut klen = 0usize;
-                    for (i, arg) in atom.args.iter().enumerate() {
-                        if mask & (1 << i) != 0 {
-                            key[klen] = match arg {
-                                EArg::Id(id) => *id,
-                                EArg::Var(v) => env[*v as usize]
-                                    .ok_or_else(|| EvalError::Unsafe("unbound key var".into()))?,
-                            };
-                            klen += 1;
-                        }
-                    }
+                    let klen = probe_key(probe, env, &mut key)
+                        .ok_or_else(|| EvalError::Unsafe("unbound key var".into()))?;
                     if let Some(bucket) = index.get(&row_hash(&key[..klen])) {
                         for &i in bucket {
                             let t = rel.row(i);
@@ -1899,6 +1951,19 @@ where
             Ok(())
         }
     }
+}
+
+/// Fills `key` with the probe's key values under `env` and returns the
+/// key length, or `None` when a key variable is unbound (a stale plan).
+#[inline]
+fn probe_key(probe: &Probe, env: &[Option<TermId>], key: &mut [TermId; MAX_COLS]) -> Option<usize> {
+    for (slot, src) in key.iter_mut().zip(probe.key.iter()) {
+        *slot = match src {
+            EArg::Id(id) => *id,
+            EArg::Var(v) => env[*v as usize]?,
+        };
+    }
+    Some(probe.key.len())
 }
 
 /// Binds an atom's variables against a tuple. Returns the mask of argument

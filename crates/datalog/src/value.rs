@@ -474,6 +474,18 @@ impl TermDict {
         self.shards[shard].read().unwrap().skolems[local].depth as usize
     }
 
+    /// True when `id` encodes a numeric value ([`Const::as_f64`] is
+    /// `Some`) — the terms on which value equality is not id equality.
+    /// Inline integers, floats and non-literal tags answer from the tag
+    /// alone; typed and spilled terms are decoded.
+    pub fn is_numeric(&self, id: TermId, symbols: &SymbolTable) -> bool {
+        match id.tag() {
+            TAG_INT | TAG_FLOAT => true,
+            TAG_TYPED | TAG_SPILL => self.decode(id).as_f64(symbols).is_some(),
+            _ => false,
+        }
+    }
+
     /// Decodes an id back into a constant. Panics on an id from another
     /// dictionary (like [`SymbolTable::resolve`] on a foreign symbol).
     pub fn decode(&self, id: TermId) -> Const {

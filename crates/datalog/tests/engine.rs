@@ -585,3 +585,76 @@ fn profiler_reports_rules_rounds_and_probes() {
     assert!(plain.profile.is_none());
     assert_eq!(plain.derived, stats.derived);
 }
+
+/// Filter-aware planning keys `q`'s first position by `A`'s id through
+/// the condition `A = B`. Value equality coerces numerics, so for a
+/// numeric `A` the probe must fall back to the unkeyed scan: the join
+/// has to return exactly the pairs `value_eq` accepts, with or without
+/// a cost-based plan and at any evaluator width.
+#[test]
+fn equality_keyed_join_matches_value_equality() {
+    use sparqlog_datalog::expr::value_eq;
+    use sparqlog_datalog::{CmpOp, Const, Expr, OrdF64};
+
+    let xsd_int = "http://www.w3.org/2001/XMLSchema#integer";
+    for (plan, threads) in [(false, 1), (true, 1), (true, 4)] {
+        let mut db = Database::new();
+        let sy = db.symbols().clone();
+        let (p, q) = (sy.intern("p"), sy.intern("q"));
+        let values = [
+            Const::Int(1),
+            Const::Float(OrdF64(1.0)),
+            Const::Typed(sy.intern("01"), sy.intern(xsd_int)),
+            Const::Float(OrdF64(f64::NAN)),
+            Const::Str(sy.intern("s")),
+            Const::LangStr(sy.intern("s"), sy.intern("en")),
+            Const::Iri(sy.intern("s")),
+        ];
+        let rows: Vec<Vec<Const>> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| vec![Const::Int(i as i64), v.clone()])
+            .collect();
+        db.load_rows(p, &rows);
+        let flipped: Vec<Vec<Const>> = rows
+            .iter()
+            .map(|r| vec![r[1].clone(), r[0].clone()])
+            .collect();
+        db.load_rows(q, &flipped);
+        let mut prog =
+            parse_program("out(X, Y) :- p(X, A), q(B, Y).\n@output(\"out\").\n", &sy).unwrap();
+        let rule = &mut prog.rules[0];
+        let var = |n: &str| rule.var_names.iter().position(|v| v == n).unwrap() as u32;
+        let (a, b) = (var("A"), var("B"));
+        rule.body.push(sparqlog_datalog::BodyItem::Cond(Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(Expr::Var(a)),
+            Box::new(Expr::Var(b)),
+        )));
+        let opts = EvalOptions {
+            plan,
+            threads: Some(threads),
+            ..EvalOptions::default()
+        };
+        evaluate(&prog, &mut db, &opts).unwrap();
+        let mut got: Vec<(i64, i64)> = collect_output(&prog, &db, sy.get("out").unwrap())
+            .into_iter()
+            .map(|t| match (&t[0], &t[1]) {
+                (Const::Int(x), Const::Int(y)) => (*x, *y),
+                other => panic!("unexpected row {other:?}"),
+            })
+            .collect();
+        got.sort_unstable();
+        let mut want = Vec::new();
+        for (i, x) in values.iter().enumerate() {
+            for (j, y) in values.iter().enumerate() {
+                if value_eq(x, y, &sy) {
+                    want.push((i as i64, j as i64));
+                }
+            }
+        }
+        assert_eq!(got, want, "plan={plan} threads={threads}");
+        // The numeric cluster really is value-equal across ids.
+        assert!(want.contains(&(0, 1)) && want.contains(&(2, 0)));
+    }
+}

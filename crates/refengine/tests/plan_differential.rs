@@ -149,3 +149,105 @@ fn store_level_toggle_is_differential_too() {
         );
     }
 }
+
+/// The literal-equality edges of filter-aware planning: numeric values
+/// equal across lexical forms and datatypes, NaN, language-tagged vs
+/// plain literals, IRIs vs literals. Each subject on the `ex:v` side has
+/// a partner on the `ex:w` side.
+const FILTER_DATA: &str = r#"
+@prefix ex: <http://e/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:i1 ex:v "1"^^xsd:integer . ex:i2 ex:w "01"^^xsd:integer .
+ex:n1 ex:v 1 . ex:n2 ex:w 1.0 .
+ex:f1 ex:v "NaN"^^xsd:double . ex:f2 ex:w "NaN"^^xsd:double .
+ex:l1 ex:v "chat"@fr . ex:l2 ex:w "chat" .
+ex:r1 ex:v ex:thing . ex:r2 ex:w "http://e/thing" .
+ex:s1 ex:v "same" . ex:s2 ex:w "same" .
+ex:s2 ex:u "same" . ex:l2 ex:u "chat"@fr .
+"#;
+
+/// `(query, forms a key)`: whether `explain` must show a condition-keyed
+/// probe (`keyed=`) in the query's plan.
+const FILTER_QUERIES: &[(&str, bool)] = &[
+    // Variable = variable across two disconnected patterns: the
+    // equality becomes the join key; numeric values fall back to the
+    // verified scan at probe time.
+    ("SELECT ?a ?b WHERE { ?a ex:v ?x . ?b ex:w ?y FILTER (?x = ?y) }", true),
+    ("SELECT ?b WHERE { ex:i1 ex:v ?x . ?b ex:w ?y FILTER (?x = ?y) }", true),
+    ("SELECT ?b WHERE { ex:n1 ex:v ?x . ?b ex:w ?y FILTER (?x = ?y) }", true),
+    ("SELECT ?b WHERE { ex:f1 ex:v ?x . ?b ex:w ?y FILTER (?x = ?y) }", true),
+    ("SELECT ?b WHERE { ex:l1 ex:v ?x . ?b ex:w ?y FILTER (?x = ?y) }", true),
+    ("SELECT ?b WHERE { ex:r1 ex:v ?x . ?b ex:w ?y FILTER (?x = ?y) }", true),
+    ("SELECT ?b WHERE { ex:s1 ex:v ?x . ?b ex:w ?y FILTER (?y = ?x && BOUND(?b)) }", true),
+    // sameTerm: identity, no numeric coercion.
+    ("SELECT ?a ?b WHERE { ?a ex:v ?x . ?b ex:w ?y FILTER (sameTerm(?x, ?y)) }", true),
+    ("SELECT ?a ?b WHERE { ?a ex:v ?x . ?b ex:w ?y FILTER (sameTerm(?x, ?y) || ?x = ?y) }", false),
+    // Variable = constant: keyed when the constant is not numeric.
+    ("SELECT ?a WHERE { ?a ex:v ?x FILTER (?x = \"chat\"@fr) }", true),
+    ("SELECT ?a ?x WHERE { ?a ?p ?x FILTER (?p = ex:w) }", true),
+    ("SELECT ?a WHERE { ?a ex:v ?x FILTER (sameTerm(?x, 1)) }", true),
+    ("SELECT ?a WHERE { ?a ex:v ?x FILTER (?x = 1) }", false),
+    // Inequality and order comparisons never key.
+    ("SELECT ?a ?b WHERE { ?a ex:v ?x . ?b ex:w ?y FILTER (?x != ?y) }", false),
+    ("SELECT ?a ?b WHERE { ?a ex:v ?x . ?b ex:w ?y FILTER (?x < ?y) }", false),
+    // A variable bound only inside OPTIONAL may be unbound: the
+    // equality must stay above the OPTIONAL.
+    (
+        "SELECT ?a ?b WHERE { ?a ex:v ?x . { ?b ex:w ?y OPTIONAL { ?b ex:u ?z } } FILTER (?x = ?z) }",
+        false,
+    ),
+];
+
+fn filter_dataset() -> Dataset {
+    Dataset::from_default_graph(sparqlog_rdf::turtle::parse(FILTER_DATA).unwrap())
+}
+
+#[test]
+fn equality_filter_keys_agree_with_baseline_and_refengine() {
+    let fuseki = FusekiSim::new(filter_dataset());
+    let with_prefix = |q: &str| format!("PREFIX ex: <http://e/> {q}");
+    for threads in [1, 4] {
+        let options = |plan, magic_sets| EvalOptions {
+            plan,
+            magic_sets,
+            threads: Some(threads),
+            ..Default::default()
+        };
+        let load = |o: EvalOptions| {
+            let mut sl = SparqLog::with_options(o);
+            sl.load_dataset(&filter_dataset()).unwrap();
+            sl
+        };
+        let mut baseline = load(options(false, false));
+        let mut planned = load(options(true, false));
+        let mut both = load(options(true, true));
+        for (q, _) in FILTER_QUERIES {
+            let q = with_prefix(q);
+            let expected = baseline.execute(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            let reference = fuseki.execute(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            assert_same(
+                &expected,
+                &reference,
+                &format!("vs FusekiSim: {q} (threads {threads})"),
+            );
+            for (name, sl) in [("plan", &mut planned), ("plan+magic", &mut both)] {
+                let got = sl.execute(&q).unwrap_or_else(|e| panic!("{name} {q}: {e}"));
+                assert_same(&expected, &got, &format!("{name}: {q} (threads {threads})"));
+            }
+        }
+    }
+
+    // Key formation, read off the plan the serving layer executes.
+    let store = sparqlog::Store::new();
+    store.load_dataset(&filter_dataset()).unwrap();
+    // Not vacuous: the numeric cluster {"1", "01", 1, 1.0} joins across
+    // ids (4 pairs), plus NaN and the "same" strings.
+    let all_pairs = store.execute(&with_prefix(FILTER_QUERIES[0].0)).unwrap();
+    assert_eq!(all_pairs.len(), 6, "{all_pairs:?}");
+    let snapshot = store.snapshot();
+    for (q, keyed) in FILTER_QUERIES {
+        let prepared = store.prepare(&with_prefix(q)).unwrap();
+        let plan = snapshot.explain(&prepared).unwrap();
+        assert_eq!(plan.contains("keyed="), *keyed, "{q}\n{plan}");
+    }
+}

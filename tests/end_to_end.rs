@@ -152,6 +152,38 @@ fn sp2bench_cross_engine_agreement() {
     }
 }
 
+/// SP²Bench q13 ties its two sub-patterns only by `FILTER(?name =
+/// ?name2)`. Filter-aware planning turns the equality into the key of
+/// the join between them, so its plan — like that of q14, the same
+/// query joined on a shared variable — has no cross-product probe, in
+/// `explain` or in the store's counter.
+#[test]
+fn sp2bench_q13_plans_without_cross_products() {
+    let store = sparqlog::Store::new();
+    store
+        .load_graph(&sp2bench::generate(sp2bench::Sp2bConfig {
+            target_triples: 1_500,
+            seed: 42,
+        }))
+        .unwrap();
+    let snapshot = store.snapshot();
+    for (id, q) in sp2bench::queries() {
+        if id != "q13" && id != "q14" {
+            continue;
+        }
+        let prepared = snapshot.prepare(&q).unwrap();
+        snapshot.execute_prepared(&prepared).unwrap();
+        let plan = snapshot.explain(&prepared).unwrap();
+        assert!(!plan.contains(" cross"), "{id}\n{plan}");
+    }
+    assert_eq!(
+        store
+            .metrics()
+            .counter_value("sparqlog_plan_cross_products_total"),
+        Some(0)
+    );
+}
+
 /// FEASIBLE: SparqLog and FusekiSim agree on every supported query
 /// (paper §6.2: "both SparqLog and Fuseki fully comply ... on each of
 /// the 77 queries").
