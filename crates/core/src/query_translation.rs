@@ -1495,8 +1495,8 @@ impl Translator {
     /// (Pérez et al., *Semantics and Complexity of SPARQL*). Hence:
     /// - `?x = ?y` / `sameTerm(?x, ?y)` goes to the lowest join rule of
     ///   the spine that certainly binds both variables;
-    /// - `?x = c` with `c` non-numeric, or `sameTerm(?x, c)`, goes to
-    ///   every triple or path leaf rule of the spine that binds `?x`.
+    /// - `?x = c` / `sameTerm(?x, c)` goes to every triple or path leaf
+    ///   rule of the spine that binds `?x`.
     ///
     /// Conjuncts under `||` or `!` stay whole and are never moved.
     /// Registration is idempotent, so the inner FILTERs of a chain
@@ -1512,7 +1512,7 @@ impl Translator {
         for c in conjuncts {
             let targets = if let Some((x, y)) = var_var_edge(&c) {
                 lowest_join(spine, idx, x, y).into_iter().collect()
-            } else if let Some(x) = var_const_key(&c, &self.symbols) {
+            } else if let Some(x) = var_const_conjunct(&c) {
                 let mut leaves = Vec::new();
                 spine_leaves(spine, idx, &mut leaves);
                 leaves
@@ -1566,21 +1566,20 @@ impl Translator {
 }
 
 /// Flattens nested joins and reorders the operands greedily by variable
-/// connectivity: each operand after the first shares at least one
-/// variable with the patterns before it whenever possible. Rebuilds a
-/// left-deep join tree. Applied recursively below every operator.
+/// connectivity. The operands fall into groups connected by shared
+/// variables; each group is joined left-deep on its own, each operand
+/// after the first connected to those before it, and the groups are
+/// then joined left-deep in turn. Applied recursively below every
+/// operator.
 ///
 /// `conjuncts` are the top-level `&&` conjuncts of the FILTER chain
 /// directly enclosing a join spine. A variable equality among them
-/// connects two operands too — but only when each side is *certainly*
-/// bound by its operand ([`certain_vars`]), since only then can the
-/// equality be pushed onto the join rule as its key. When the operands
-/// fall into several groups connected by shared variables (SP²Bench
-/// q13: two sub-patterns tied only by `?name = ?name2`), each group is
-/// joined on its own first and the groups are then joined by the
-/// equalities: the tree becomes bushy, so no group's rows are
-/// multiplied by another's operands before the equality key filters
-/// them.
+/// connects two groups — but only when each side is *certainly* bound
+/// by its group ([`certain_vars`]), since only then can the equality be
+/// pushed onto the join rule as its key (SP²Bench q13: two sub-patterns
+/// tied only by `?name = ?name2`). Joining whole groups keeps one
+/// group's rows from being multiplied by another's operands before a
+/// key or shared variable filters them.
 fn reorder_joins(p: &GraphPattern, conjuncts: &[SExpr]) -> GraphPattern {
     match p {
         GraphPattern::Join(_, _) => {
@@ -1589,15 +1588,11 @@ fn reorder_joins(p: &GraphPattern, conjuncts: &[SExpr]) -> GraphPattern {
             let leaves: Vec<GraphPattern> =
                 leaves.into_iter().map(|l| reorder_joins(l, &[])).collect();
             let edges: Vec<(&Var, &Var)> = conjuncts.iter().filter_map(var_var_edge).collect();
-            if !edges.is_empty() {
-                let groups = shared_var_groups(leaves);
-                let units = groups
-                    .into_iter()
-                    .map(|g| left_deep(greedy_join_order(g, &edges)))
-                    .collect();
-                return left_deep(greedy_join_order(units, &edges));
-            }
-            left_deep(greedy_join_order(leaves, &edges))
+            let groups = shared_var_groups(leaves)
+                .into_iter()
+                .map(|g| left_deep(greedy_join_order(g, &edges)))
+                .collect();
+            left_deep(greedy_join_order(groups, &edges))
         }
         GraphPattern::Union(a, b) => GraphPattern::Union(
             Box::new(reorder_joins(a, &[])),
@@ -1768,20 +1763,15 @@ fn var_var_edge(c: &SExpr) -> Option<(&Var, &Var)> {
     }
 }
 
-/// The variable of `?x = c` with `c` non-numeric, or of `sameTerm(?x, c)`
-/// with any constant: the conjuncts whose key is exact on `TermId`s.
-fn var_const_key<'e>(c: &'e SExpr, symbols: &SymbolTable) -> Option<&'e Var> {
-    let (same_term, a, b) = match c {
-        SExpr::Compare(SCmp::Eq, a, b) => (false, a, b),
-        SExpr::SameTerm(a, b) => (true, a, b),
-        _ => return None,
-    };
-    match (a.as_ref(), b.as_ref()) {
-        (SExpr::Var(x), SExpr::Const(t)) | (SExpr::Const(t), SExpr::Var(x))
-            if same_term || term_to_const(t, symbols).as_f64(symbols).is_none() =>
-        {
-            Some(x)
-        }
+/// The variable of `?x = c` or `sameTerm(?x, c)` with `c` a constant.
+/// Whether the conjunct also forms a probe key (not for `=` against a
+/// numeric constant) is the planner's decision.
+fn var_const_conjunct(c: &SExpr) -> Option<&Var> {
+    match c {
+        SExpr::Compare(SCmp::Eq, a, b) | SExpr::SameTerm(a, b) => match (a.as_ref(), b.as_ref()) {
+            (SExpr::Var(x), SExpr::Const(_)) | (SExpr::Const(_), SExpr::Var(x)) => Some(x),
+            _ => None,
+        },
         _ => None,
     }
 }

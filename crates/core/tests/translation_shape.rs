@@ -3,7 +3,8 @@
 //! directives), and every workload query translates to a warded program.
 
 use sparqlog::translate_query;
-use sparqlog_datalog::{BodyItem, Expr, PostOp, SymbolTable};
+use sparqlog_datalog::stats::DbStats;
+use sparqlog_datalog::{plan_program, BodyItem, Expr, PostOp, SymbolTable};
 use sparqlog_sparql::parse_query;
 
 fn translate(q: &str) -> (sparqlog_datalog::Program, std::sync::Arc<SymbolTable>) {
@@ -258,11 +259,13 @@ fn optional_only_variable_is_not_pushed() {
 
 #[test]
 fn constant_equalities_push_to_leaves_by_type() {
-    // A non-numeric constant reaches the leaf binding the variable; a
-    // numeric one (compared by value) stays in the FILTER rule only.
-    let leaf_conds = |q: &str| {
+    // Every `?x = c` reaches the leaf binding the variable; only a
+    // non-numeric constant (compared by identity) forms a probe key
+    // there — a numeric one is compared by value and stays a check.
+    let leaf_conds_and_keyed = |q: &str| {
         let (p, symbols) = translate(q);
-        p.rules
+        let leaf_conds = p
+            .rules
             .iter()
             .filter(|r| {
                 r.body.iter().any(
@@ -270,16 +273,20 @@ fn constant_equalities_push_to_leaves_by_type() {
                 )
             })
             .map(|r| conds(r).len())
-            .sum::<usize>()
+            .sum::<usize>();
+        let plan = plan_program(&p, &symbols, &DbStats::default()).unwrap();
+        (leaf_conds, plan.render(&p, &symbols).contains("keyed="))
     };
     assert_eq!(
-        leaf_conds(
+        leaf_conds_and_keyed(
             "SELECT * WHERE { ?a <http://t> <http://A> . ?a ?p ?v FILTER (?p = <http://pages>) }"
         ),
-        1
+        (1, true)
     );
     assert_eq!(
-        leaf_conds("SELECT * WHERE { ?a <http://t> <http://A> . ?a ?p ?v FILTER (?v = 3) }"),
-        0
+        leaf_conds_and_keyed(
+            "SELECT * WHERE { ?a <http://t> <http://A> . ?a ?p ?v FILTER (?v = 3) }"
+        ),
+        (1, false)
     );
 }
