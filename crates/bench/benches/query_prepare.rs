@@ -50,13 +50,16 @@ fn main() {
     let log = query_log();
     let snapshot = store.snapshot();
 
-    // (a) Full front-end per call: parse + translate, no cache (the
-    // parsed-query entry point translates fresh each time).
+    // (a) Full front-end per call: translate, no cache (preparing a
+    // parsed query translates fresh each time).
     let parsed: Vec<_> = log.iter().map(|q| parse_query(q).unwrap()).collect();
     b.bench("retranslate_32q", || {
         parsed
             .iter()
-            .map(|q| snapshot.execute_query(q).expect("query runs").len())
+            .map(|q| {
+                let p = snapshot.prepare_query(q.clone()).expect("query translates");
+                snapshot.execute_prepared(&p).expect("query runs").len()
+            })
             .sum::<usize>()
     });
 

@@ -1,7 +1,7 @@
 //! The snapshot-refresh microbench: committing a small delta through
 //! `Store::writer()` (thaw → mutate → incremental re-freeze) against the
-//! from-scratch alternative the pre-Store API forced (reload the whole
-//! post-update dataset into a fresh engine and `freeze()` it).
+//! from-scratch alternative (reload the whole post-update dataset into a
+//! fresh store).
 //!
 //! The fixture is a ring-with-shortcuts graph of `N` people (the
 //! recurring shape of the PR 2/3 benches). The incremental cases stage
@@ -11,7 +11,7 @@
 //! snapshot keeps its per-mask indexes, so untouched predicates never
 //! pay the `2^arity - 1` rebuild.
 
-use sparqlog::{SparqLog, Store, Term};
+use sparqlog::{Store, Term};
 use sparqlog_bench::microbench::Bench;
 use sparqlog_datalog::EvalOptions;
 
@@ -46,12 +46,12 @@ fn main() {
     let mut b = Bench::new("store_update");
     let src = turtle(N);
 
-    // Baseline: what a 10-triple change cost before the Store API —
-    // reload the full dataset into a fresh engine and freeze it.
+    // Baseline: what a 10-triple change costs without incremental
+    // commits — reload the full dataset into a fresh store.
     b.bench("full_refreeze", || {
-        let mut engine = SparqLog::with_options(single_threaded());
-        engine.load_turtle(&src).unwrap();
-        engine.freeze()
+        let fresh = Store::with_options(single_threaded());
+        fresh.load_turtle(&src).unwrap();
+        fresh
     });
 
     // Incremental: one established store absorbs a 10-triple delta per

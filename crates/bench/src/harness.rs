@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use sparqlog::{Ontology, QueryResults, SparqLog, SparqLogError};
+use sparqlog::{Budget, Ontology, QueryResults, SparqLogError, Store};
 use sparqlog_datalog::EvalOptions;
 use sparqlog_rdf::Dataset;
 use sparqlog_refengine::{EngineError, FusekiSim, StardogSim, VirtuosoSim};
@@ -134,13 +134,13 @@ fn run_sparqlog(
     timeout: Duration,
 ) -> Measurement {
     let options = EvalOptions {
-        timeout: Some(timeout),
+        budget: Budget::new().with_timeout(timeout),
         ..Default::default()
     };
     let start = Instant::now();
-    let mut engine = SparqLog::with_options(options);
-    let load_result = engine.load_dataset(dataset).and_then(|_| match ontology {
-        Some(o) => engine.add_ontology(o).map(|_| ()),
+    let store = Store::with_options(options);
+    let load_result = store.load_dataset(dataset).and_then(|_| match ontology {
+        Some(o) => store.add_ontology(o).map(|_| ()),
         None => Ok(()),
     });
     let load = start.elapsed();
@@ -152,7 +152,7 @@ fn run_sparqlog(
         };
     }
     let start = Instant::now();
-    let status = classify_sl(engine.execute(query));
+    let status = classify_sl(store.execute(query));
     Measurement {
         load,
         exec: start.elapsed(),

@@ -1,13 +1,5 @@
-//! Concurrent query serving: frozen engine snapshots and the parallel
-//! query-batch API.
-//!
-//! Since the [`Store`](crate::Store) redesign, [`FrozenDatabase`] is
-//! the *serving layer* under [`Store::snapshot`](crate::Store::snapshot)
-//! rather than a one-way terminal state: a [`Snapshot`](crate::Snapshot)
-//! derefs to this type, and the store's commit path thaws the underlying
-//! [`FrozenDb`] back into a mutable database and re-freezes it
-//! incrementally. [`SparqLog::freeze`](crate::SparqLog::freeze) remains
-//! as the direct (one-way) route for freeze-once workloads.
+//! Concurrent query serving: the [`Snapshot`] read view and its
+//! parallel query-batch API.
 //!
 //! The paper's experiments run one query at a time, but the workloads its
 //! reproduction targets — see the query-log studies cited in PAPERS.md —
@@ -15,43 +7,48 @@
 //! Those are embarrassingly parallel: once loading and materialisation
 //! are done, nothing about executing a query needs `&mut` access.
 //!
-//! [`SparqLog::freeze`](crate::SparqLog::freeze) makes that lifecycle split explicit. It consumes
-//! the mutable engine and returns a [`FrozenDatabase`]: an
-//! index-complete, read-only snapshot whose every query entry point
-//! takes `&self`, so any number of threads can translate and evaluate
-//! queries against it concurrently (it is `Send + Sync`; wrap it in an
-//! `Arc` or hand out `&` references from a scope). Three pieces make
+//! A [`Snapshot`], handed out by [`Store::snapshot`](crate::Store::snapshot),
+//! is an index-complete, read-only view of one store version whose every
+//! query entry point takes `&self`, so any number of threads can
+//! translate and evaluate queries against it concurrently (it is
+//! `Send + Sync`, and cloning it is a refcount bump). Three pieces make
 //! this work:
 //!
-//! * the **snapshot** ([`sparqlog_datalog::FrozenDb`]): relations frozen
-//!   after materialisation with all per-mask hash indexes pre-built, so
-//!   reads never lock; each query derives its answer predicates into a
-//!   private overlay database that falls through to the snapshot;
-//! * the **translation cache**: translated programs are memoised by
-//!   query text, so repeated query shapes — the common case in real
-//!   query logs — skip the SPARQL→Datalog pipeline entirely;
-//! * the **batch fan-out** ([`FrozenDatabase::execute_batch`]): a batch
-//!   of queries is spread across the evaluator's scoped worker pool
+//! * the **frozen base** ([`sparqlog_datalog::FrozenDb`]): relations
+//!   frozen after materialisation with their per-mask hash indexes
+//!   pre-built, so reads never lock; each query derives its answer
+//!   predicates into a private overlay database that falls through to
+//!   the base;
+//! * the **translation cache**: translated programs (and their physical
+//!   plans) are memoised by query text and shared by every snapshot of
+//!   the store, so repeated query shapes — the common case in real query
+//!   logs — skip the SPARQL→Datalog pipeline entirely, across commits;
+//! * the **batch fan-out** ([`Snapshot::execute_batch`]): a batch of
+//!   queries is spread across the evaluator's scoped worker pool
 //!   ([`sparqlog_datalog::run_scoped`]), one overlay per query, with
 //!   results returned in input order regardless of scheduling.
 //!
-//! ```
-//! use sparqlog::SparqLog;
+//! Per-call limits come from a governed view
+//! ([`Snapshot::with_budget`]); profiling from
+//! [`Snapshot::execute_prepared_profiled`].
 //!
-//! let mut engine = SparqLog::new();
-//! engine
+//! ```
+//! use sparqlog::Store;
+//!
+//! let store = Store::new();
+//! store
 //!     .load_turtle(
 //!         r#"@prefix ex: <http://ex.org/> .
 //!            ex:spain ex:borders ex:france .
 //!            ex:france ex:borders ex:belgium ."#,
 //!     )
 //!     .unwrap();
-//! let frozen = engine.freeze(); // no further loads; queries go parallel
+//! let snapshot = store.snapshot(); // one version; queries go parallel
 //! let queries = [
 //!     "PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x ex:borders ex:france }",
 //!     "PREFIX ex: <http://ex.org/> ASK { ex:spain ex:borders ex:belgium }",
 //! ];
-//! let results = frozen.execute_batch(&queries);
+//! let results = snapshot.execute_batch(&queries);
 //! assert_eq!(results[0].as_ref().unwrap().len(), 1); // spain
 //! assert!(results[1].as_ref().unwrap().is_empty()); // ASK ⇒ false
 //! ```
@@ -59,22 +56,22 @@
 use std::sync::{Arc, Mutex, RwLock};
 
 use sparqlog_datalog::{
-    demand_prunes, demand_subprogram, evaluate_frozen, evaluate_frozen_with_plan,
-    fxhash::FxHashMap, magic_sets_rewrite_analyzed, plan_program, run_scoped_caught, Budget,
-    CancelToken, DbStats, EvalError, EvalOptions, EvalStats, FrozenDb, Mask, Program, ProgramPlan,
-    QueryProfile, StatsFingerprint, Sym, SymbolTable,
+    demand_prunes, demand_subprogram, evaluate, evaluate_with_plan, fxhash::FxHashMap,
+    magic_sets_rewrite_analyzed, plan_program, run_scoped_caught, Budget, CancelToken, Database,
+    DbStats, EvalError, EvalOptions, EvalStats, FrozenDb, Mask, Program, ProgramPlan, QueryProfile,
+    StatsFingerprint, Sym, SymbolTable,
 };
 use sparqlog_obs::MetricsRegistry;
 use sparqlog_sparql::{parse_query, update_keyword, Query};
 
-use crate::engine::SparqLogError;
+use crate::error::SparqLogError;
 use crate::metrics::CoreMetrics;
 use crate::query_translation::{translate_query, TranslatedQuery};
 use crate::solution::{extract_results, QueryResults};
 
 /// A cached physical plan: the program it was computed for (the
 /// magic-sets rewrite of the translation when it applied *and* its
-/// measured demand pruned — see [`FrozenDatabase::compute_plan`] — else
+/// measured demand pruned — see [`Snapshot::compute_plan`] — else
 /// `None` meaning the translation's own program), the plan itself, and
 /// the statistics fingerprint it is valid against.
 struct PlanEntry {
@@ -108,7 +105,7 @@ pub const MAX_CACHED_TRANSLATIONS: usize = 4096;
 
 /// The text-keyed translation cache plus the store's metric handles.
 ///
-/// Owned behind an `Arc` so it outlives any single [`FrozenDatabase`]:
+/// Owned behind an `Arc` so it outlives any single [`Snapshot`]:
 /// translations are data-independent (they reference interned symbols,
 /// never facts), so the [`Store`](crate::Store) commit path threads one
 /// cache through every snapshot it installs — hot query shapes stay warm
@@ -157,7 +154,7 @@ impl TranslationCache {
 /// snapshots and commits of the store that prepared it.
 ///
 /// Produced by [`Store::prepare`](crate::Store::prepare),
-/// `Snapshot::prepare` or [`FrozenDatabase::prepare`]. The handle is
+/// [`Snapshot::prepare`] or [`Snapshot::prepare_query`]. The handle is
 /// `Send + Sync` and cheap to clone (one `Arc` bump); because
 /// translations are data-independent, a handle prepared before a commit
 /// keeps working on every later snapshot of the same store. Executing it
@@ -206,92 +203,181 @@ impl std::fmt::Debug for PreparedQuery {
     }
 }
 
-/// A frozen, read-only engine snapshot serving concurrent queries.
+/// The state every clone of a [`Snapshot`] shares: the frozen base, the
+/// evaluation options it was issued with, and the store's translation
+/// cache.
+struct SnapshotState {
+    base: Arc<FrozenDb>,
+    options: EvalOptions,
+    /// Shared with every other snapshot of the owning
+    /// [`Store`](crate::Store), so it survives commits.
+    cache: Arc<TranslationCache>,
+}
+
+/// An immutable, version-stable read view of a [`Store`](crate::Store),
+/// serving concurrent queries.
 ///
-/// Produced by [`SparqLog::freeze`](crate::SparqLog::freeze). All query
-/// entry points take
-/// `&self`; the type is `Send + Sync`, so threads may share one instance
-/// directly or behind an `Arc`. No data can be loaded any more — the
-/// mutate phase ended at the freeze.
+/// Produced by [`Store::snapshot`](crate::Store::snapshot). All query
+/// entry points take `&self`; the type is `Send + Sync` and cloning it is
+/// a refcount bump, so threads may share one instance or hold clones.
+/// Later commits do not affect a snapshot, and a live snapshot never
+/// blocks them. Passing a SPARQL *Update* string to [`Self::execute`]
+/// returns [`SparqLogError::ReadOnly`] — route writes through the owning
+/// store.
 ///
 /// Executing a query touches three shared structures, each safely
-/// concurrent: the snapshot (read-only), the symbol table / term
+/// concurrent: the frozen base (read-only), the symbol table / term
 /// dictionary (internally synchronised interners), and the translation
 /// cache (an `RwLock` map; hits are read-locked only). Everything else —
 /// the evaluation overlay, staging buffers, solution extraction — is
 /// private to the executing thread.
-pub struct FrozenDatabase {
-    base: Arc<FrozenDb>,
-    options: EvalOptions,
-    /// The translation cache — shared with every other snapshot of the
-    /// owning [`Store`](crate::Store), so it survives commits.
-    cache: Arc<TranslationCache>,
+///
+/// ```
+/// use sparqlog::Store;
+///
+/// let store = Store::new();
+/// store
+///     .load_turtle(
+///         "@prefix ex: <http://ex.org/> .
+///          ex:a ex:p ex:b . ex:b ex:p ex:c .",
+///     )
+///     .unwrap();
+/// let snapshot = store.snapshot();
+/// let q = "PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:a ex:p+ ?z }";
+/// // `&snapshot` is all a thread needs:
+/// std::thread::scope(|s| {
+///     let a = s.spawn(|| snapshot.execute(q).unwrap().len());
+///     let b = s.spawn(|| snapshot.execute(q).unwrap().len());
+///     assert_eq!(a.join().unwrap(), 2);
+///     assert_eq!(b.join().unwrap(), 2);
+/// });
+/// ```
+#[derive(Clone)]
+pub struct Snapshot {
+    state: Arc<SnapshotState>,
+    /// The options of a [`Self::with_budget`] view (`None` on a
+    /// store-issued snapshot, which runs with `state.options`).
+    view: Option<Arc<EvalOptions>>,
 }
 
-impl FrozenDatabase {
-    pub(crate) fn new(base: Arc<FrozenDb>, options: EvalOptions) -> Self {
-        Self::with_cache(base, options, Arc::new(TranslationCache::new()))
-    }
-
-    /// Wraps a snapshot around an existing translation cache — the
-    /// [`Store`](crate::Store) commit path uses this to carry the cache
-    /// (and its predicate-namespace counter) across commits.
-    pub(crate) fn with_cache(
+impl Snapshot {
+    pub(crate) fn new(
         base: Arc<FrozenDb>,
         options: EvalOptions,
         cache: Arc<TranslationCache>,
     ) -> Self {
-        FrozenDatabase {
-            base,
-            options,
-            cache,
+        Snapshot {
+            state: Arc::new(SnapshotState {
+                base,
+                options,
+                cache,
+            }),
+            view: None,
         }
+    }
+
+    /// An empty snapshot with a fresh translation cache (a new store's
+    /// first version).
+    pub(crate) fn empty(options: EvalOptions) -> Self {
+        Self::new(
+            Database::new().freeze(),
+            options,
+            Arc::new(TranslationCache::new()),
+        )
     }
 
     /// The shared translation cache (for re-wrapping by the store).
     pub(crate) fn cache_handle(&self) -> Arc<TranslationCache> {
-        self.cache.clone()
+        self.state.cache.clone()
     }
 
-    /// Dismantles the serving wrapper back into its snapshot, options
-    /// and translation cache — the [`Store`](crate::Store) commit path
-    /// reclaims the snapshot through this (and thaws it in place when no
-    /// other handle is alive).
-    pub(crate) fn into_base(self) -> (Arc<FrozenDb>, EvalOptions, Arc<TranslationCache>) {
-        (self.base, self.options, self.cache)
+    /// Reclaims the frozen base and translation cache when this is the
+    /// last handle on the state — the [`Store`](crate::Store) commit
+    /// path's zero-copy branch — else returns the snapshot unchanged.
+    pub(crate) fn try_unwrap(self) -> Result<(Arc<FrozenDb>, Arc<TranslationCache>), Snapshot> {
+        let view = self.view;
+        Arc::try_unwrap(self.state)
+            .map(|s| (s.base, s.cache))
+            .map_err(|state| Snapshot { state, view })
+    }
+
+    /// A view of this snapshot whose queries run under `budget` instead
+    /// of the store's default budget. The view pins the same version and
+    /// shares the translation cache; the snapshot it came from is
+    /// unaffected.
+    ///
+    /// A query that crosses a limit (or whose [`CancelToken`] fires)
+    /// returns [`SparqLogError::Aborted`] within one evaluation batch of
+    /// the limit, leaving the store untouched. In a batch
+    /// ([`Self::execute_batch`], [`Self::execute_prepared_batch`]) each
+    /// query gets the budget individually — the timeout clock starts
+    /// when *its* evaluation starts, row/dictionary caps are per-query —
+    /// except cancellation, which is batch-wide: the first query to
+    /// abort cancels its still-running siblings, so a batch against an
+    /// overloaded store drains in roughly one query's worth of time.
+    /// Ordinary per-query failures (parse errors, unsupported features)
+    /// do *not* cancel siblings.
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use sparqlog::{Budget, Store};
+    ///
+    /// let store = Store::new();
+    /// store
+    ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
+    ///     .unwrap();
+    /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
+    /// let budget = Budget::new().with_timeout(Duration::from_secs(30));
+    /// let governed = store.snapshot().with_budget(budget);
+    /// assert_eq!(governed.execute(q).unwrap().len(), 1);
+    /// ```
+    pub fn with_budget(&self, budget: Budget) -> Snapshot {
+        Snapshot {
+            state: self.state.clone(),
+            view: Some(Arc::new(EvalOptions {
+                budget,
+                ..self.options().clone()
+            })),
+        }
     }
 
     /// The shared symbol table.
     pub fn symbols(&self) -> &Arc<SymbolTable> {
-        self.base.symbols()
+        self.state.base.symbols()
     }
 
     /// The underlying frozen Datalog snapshot.
     pub fn database(&self) -> &Arc<FrozenDb> {
-        &self.base
+        &self.state.base
     }
 
-    /// The evaluation options every query runs with (inherited from the
-    /// engine at freeze time).
+    /// Total number of facts in this snapshot.
+    pub fn fact_count(&self) -> usize {
+        self.state.base.fact_count()
+    }
+
+    /// The evaluation options every query on this snapshot runs with
+    /// (the store's options when the snapshot was taken, with the
+    /// budget of a [`Self::with_budget`] view).
     pub fn options(&self) -> &EvalOptions {
-        &self.options
+        self.view.as_deref().unwrap_or(&self.state.options)
     }
 
     /// Number of distinct query texts currently memoised in the
     /// translation cache (shared with every snapshot of the owning
     /// store, so commits do not reset it).
     pub fn cached_translations(&self) -> usize {
-        self.cache.map.read().unwrap().len()
+        self.state.cache.map.read().unwrap().len()
     }
 
     /// Total number of parse+translate passes ever performed through
-    /// this handle's (store-shared) translation cache. Cache hits and
+    /// this snapshot's (store-shared) translation cache. Cache hits and
     /// prepared-query executions do not increment it — the counter is
     /// how tests prove a hot query shape stayed warm across a commit.
     /// Also exported as `sparqlog_translations_total` on
     /// [`Self::metrics`].
     pub fn translations_performed(&self) -> usize {
-        self.cache.metrics.translations.get() as usize
+        self.state.cache.metrics.translations.get() as usize
     }
 
     /// The metrics registry shared by every snapshot of the owning
@@ -299,12 +385,12 @@ impl FrozenDatabase {
     /// HTTP server) register their own families into it so one scrape
     /// covers the whole stack.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.cache.metrics.registry
+        &self.state.cache.metrics.registry
     }
 
     /// The cached per-family handles (crate-internal recording sites).
     pub(crate) fn core_metrics(&self) -> &CoreMetrics {
-        &self.cache.metrics
+        &self.state.cache.metrics
     }
 
     /// Parses and translates a query once, returning a reusable
@@ -324,62 +410,18 @@ impl FrozenDatabase {
     fn wrap_prepared(&self, inner: Arc<CachedQuery>) -> PreparedQuery {
         PreparedQuery {
             inner,
-            symbols: self.base.symbols().clone(),
+            symbols: self.symbols().clone(),
         }
     }
 
     /// Guards against executing a handle prepared by a different store:
     /// its program's interned symbols would mis-resolve here.
     fn check_prepared(&self, p: &PreparedQuery) -> Result<(), SparqLogError> {
-        if Arc::ptr_eq(&p.symbols, self.base.symbols()) {
+        if Arc::ptr_eq(&p.symbols, self.symbols()) {
             Ok(())
         } else {
             Err(SparqLogError::ForeignPrepared)
         }
-    }
-
-    /// Executes a [`PreparedQuery`]: no parsing, no translation, no
-    /// cache probe — straight to evaluation against this snapshot.
-    pub fn execute_prepared(&self, p: &PreparedQuery) -> Result<QueryResults, SparqLogError> {
-        self.check_prepared(p)?;
-        self.run(&p.inner, &self.options)
-    }
-
-    /// [`Self::execute_prepared`] under an explicit [`Budget`], which
-    /// replaces the snapshot's default budget for this execution only.
-    pub fn execute_prepared_with_budget(
-        &self,
-        p: &PreparedQuery,
-        budget: &Budget,
-    ) -> Result<QueryResults, SparqLogError> {
-        self.check_prepared(p)?;
-        self.run(&p.inner, &self.options_with(budget))
-    }
-
-    /// [`Self::execute_batch`] over prepared handles: fans evaluation
-    /// out over the worker pool with zero per-query translation work,
-    /// returning results in input order.
-    pub fn execute_prepared_batch(
-        &self,
-        queries: &[PreparedQuery],
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), &self.options.budget, |i| {
-            self.check_prepared(&queries[i])?;
-            Ok(queries[i].inner.clone())
-        })
-    }
-
-    /// [`Self::execute_prepared_batch`] under an explicit [`Budget`]
-    /// (see [`Self::execute_batch_with_budget`] for the semantics).
-    pub fn execute_prepared_batch_with_budget(
-        &self,
-        queries: &[PreparedQuery],
-        budget: &Budget,
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), budget, |i| {
-            self.check_prepared(&queries[i])?;
-            Ok(queries[i].inner.clone())
-        })
     }
 
     /// Parses, translates (or recalls), evaluates and extracts one query.
@@ -390,79 +432,87 @@ impl FrozenDatabase {
     /// evaluation.
     ///
     /// ```
-    /// use sparqlog::SparqLog;
+    /// use sparqlog::Store;
     ///
-    /// let mut engine = SparqLog::new();
-    /// engine
+    /// let store = Store::new();
+    /// store
     ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
     ///     .unwrap();
-    /// let frozen = engine.freeze();
+    /// let snapshot = store.snapshot();
     /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
-    /// assert_eq!(frozen.execute(q).unwrap().len(), 1);
-    /// assert_eq!(frozen.execute(q).unwrap().len(), 1); // cached translation
-    /// assert_eq!(frozen.cached_translations(), 1);
+    /// assert_eq!(snapshot.execute(q).unwrap().len(), 1);
+    /// assert_eq!(snapshot.execute(q).unwrap().len(), 1); // cached translation
+    /// assert_eq!(snapshot.cached_translations(), 1);
     /// ```
     pub fn execute(&self, query_str: &str) -> Result<QueryResults, SparqLogError> {
         let cached = self.translation(query_str)?;
-        self.run(&cached, &self.options)
+        self.run(&cached, self.options())
     }
 
-    /// [`Self::execute`] under an explicit [`Budget`], which replaces the
-    /// snapshot's default budget for this execution only. A query that
-    /// crosses a limit (or whose [`CancelToken`] fires) returns
-    /// [`SparqLogError::Aborted`] within one evaluation batch of the
-    /// limit, leaving the snapshot untouched.
+    /// Executes a [`PreparedQuery`]: no parsing, no translation, no
+    /// cache probe — straight to evaluation against this snapshot.
+    pub fn execute_prepared(&self, p: &PreparedQuery) -> Result<QueryResults, SparqLogError> {
+        self.check_prepared(p)?;
+        self.run(&p.inner, self.options())
+    }
+
+    /// [`Self::execute_prepared`] with per-query profiling armed:
+    /// alongside the results, returns the `EXPLAIN ANALYZE`-style
+    /// [`QueryProfile`] — per-rule timings, per-round delta sizes, index
+    /// builds (see [`sparqlog_datalog::QueryProfile`]). Profiling adds
+    /// per-job timing overhead, so it is opt-in per call rather than an
+    /// option on the snapshot.
     ///
     /// ```
-    /// use std::time::Duration;
-    /// use sparqlog::{Budget, SparqLog};
+    /// use sparqlog::Store;
     ///
-    /// let mut engine = SparqLog::new();
-    /// engine
+    /// let store = Store::new();
+    /// store
     ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
     ///     .unwrap();
-    /// let frozen = engine.freeze();
-    /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
-    /// let budget = Budget::new().with_timeout(Duration::from_secs(30));
-    /// assert_eq!(frozen.execute_with_budget(q, &budget).unwrap().len(), 1);
+    /// let snapshot = store.snapshot();
+    /// let q = snapshot
+    ///     .prepare("PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }")
+    ///     .unwrap();
+    /// let (results, profile) = snapshot.execute_prepared_profiled(&q).unwrap();
+    /// assert_eq!(results.len(), 1);
+    /// assert!(profile.render().contains("stratum 0"));
     /// ```
-    pub fn execute_with_budget(
+    pub fn execute_prepared_profiled(
         &self,
-        query_str: &str,
-        budget: &Budget,
-    ) -> Result<QueryResults, SparqLogError> {
-        let cached = self.translation(query_str)?;
-        self.run(&cached, &self.options_with(budget))
-    }
-
-    /// Executes an already-parsed query (translated fresh each call — the
-    /// translation cache is keyed by query text; use [`Self::execute`]
-    /// for text-level memoisation).
-    pub fn execute_query(&self, query: &Query) -> Result<QueryResults, SparqLogError> {
-        let cached = self.translate_entry(query.clone())?;
-        self.run(&cached, &self.options)
+        p: &PreparedQuery,
+    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
+        self.check_prepared(p)?;
+        let options = EvalOptions {
+            profile: true,
+            ..self.options().clone()
+        };
+        let (results, stats) = self.run_collect(&p.inner, &options)?;
+        let profile = stats.profile.expect("profiling was armed");
+        Ok((results, *profile))
     }
 
     /// Executes a batch of queries across the scoped worker pool,
     /// returning one result per query **in input order**.
     ///
-    /// The fan-out width is the engine's effective thread count
+    /// The fan-out width is the snapshot's effective thread count
     /// ([`EvalOptions::resolved_threads`], capped at the batch length);
     /// each query evaluates single-threaded inside the batch —
     /// inter-query parallelism replaces the intra-query parallelism a
     /// lone [`Self::execute`] call would use, so results are identical to
     /// the sequential ones whatever the width. Per-query failures come
-    /// back as `Err` entries without affecting the rest of the batch.
+    /// back as `Err` entries without affecting the rest of the batch (on
+    /// a [`Self::with_budget`] view, a governor abort cancels the
+    /// siblings).
     ///
     /// ```
-    /// use sparqlog::SparqLog;
+    /// use sparqlog::Store;
     ///
-    /// let mut engine = SparqLog::new();
-    /// engine
+    /// let store = Store::new();
+    /// store
     ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
     ///     .unwrap();
-    /// let frozen = engine.freeze();
-    /// let results = frozen.execute_batch(&[
+    /// let results = store.snapshot().execute_batch(&[
     ///     "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }",
     ///     "this is not sparql",
     /// ]);
@@ -470,55 +520,27 @@ impl FrozenDatabase {
     /// assert!(results[1].is_err()); // the batch keeps going
     /// ```
     pub fn execute_batch(&self, queries: &[&str]) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), &self.options.budget, |i| {
-            self.translation(queries[i])
-        })
+        self.batch(queries.len(), |i| self.translation(queries[i]))
     }
 
-    /// [`Self::execute_batch`] under an explicit [`Budget`], which
-    /// replaces the snapshot's default budget for every query in the
-    /// batch. Each query gets the budget individually (the timeout clock
-    /// starts when *its* evaluation starts, row/dictionary caps are
-    /// per-query), except cancellation, which is batch-wide: the first
-    /// query to return [`SparqLogError::Aborted`] cancels its still-
-    /// running siblings, so a batch against an overloaded store drains in
-    /// roughly one query's worth of time instead of `n`. Ordinary
-    /// per-query failures (parse errors, unsupported features) do *not*
-    /// cancel siblings — they come back as `Err` entries in input order
-    /// exactly as in [`Self::execute_batch`].
-    pub fn execute_batch_with_budget(
+    /// [`Self::execute_batch`] over prepared handles: fans evaluation
+    /// out over the worker pool with zero per-query translation work,
+    /// returning results in input order.
+    pub fn execute_prepared_batch(
         &self,
-        queries: &[&str],
-        budget: &Budget,
+        queries: &[PreparedQuery],
     ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), budget, |i| self.translation(queries[i]))
-    }
-
-    /// [`Self::execute_batch`] over already-parsed queries (no text
-    /// cache; each query is translated once for the batch).
-    pub fn execute_query_batch(
-        &self,
-        queries: &[Query],
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), &self.options.budget, |i| {
-            self.translate_entry(queries[i].clone())
+        self.batch(queries.len(), |i| {
+            self.check_prepared(&queries[i])?;
+            Ok(queries[i].inner.clone())
         })
-    }
-
-    /// This snapshot's options with `budget` substituted — the per-call
-    /// override used by every `*_with_budget` entry point.
-    fn options_with(&self, budget: &Budget) -> EvalOptions {
-        EvalOptions {
-            budget: budget.clone(),
-            ..self.options.clone()
-        }
     }
 
     /// Shared batch driver: resolves each query to a translation, fans
     /// evaluation out over the scoped pool, and collects results in input
     /// order via per-job slots.
     ///
-    /// Two robustness layers (PR 7):
+    /// Two robustness layers:
     ///
     /// * **Sibling cancellation** — when the batch is governed, every
     ///   query runs under a child of one group [`CancelToken`] (itself a
@@ -531,10 +553,11 @@ impl FrozenDatabase {
     fn batch(
         &self,
         n: usize,
-        budget: &Budget,
         translation_of: impl Fn(usize) -> Result<Arc<CachedQuery>, SparqLogError> + Sync,
     ) -> Vec<Result<QueryResults, SparqLogError>> {
-        let threads = self.options.resolved_threads().min(n.max(1));
+        let options = self.options();
+        let budget = &options.budget;
+        let threads = options.resolved_threads().min(n.max(1));
         let (group, effective) = if budget.is_unlimited() {
             // Ungoverned batch: no abort can occur, so skip the token and
             // keep the per-query evaluations on the ungoverned fast path.
@@ -552,7 +575,7 @@ impl FrozenDatabase {
         let per_query = EvalOptions {
             threads: Some(1),
             budget: effective,
-            ..self.options.clone()
+            ..options.clone()
         };
         let slots: Vec<Mutex<Option<Result<QueryResults, SparqLogError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
@@ -589,7 +612,8 @@ impl FrozenDatabase {
     /// inserting, bounding the cache's memory.
     fn translation(&self, text: &str) -> Result<Arc<CachedQuery>, SparqLogError> {
         panic_marker_hook(text);
-        if let Some(hit) = self.cache.map.read().unwrap().get(text) {
+        let map = &self.state.cache.map;
+        if let Some(hit) = map.read().unwrap().get(text) {
             return Ok(hit.clone());
         }
         let query = match parse_query(text) {
@@ -603,7 +627,7 @@ impl FrozenDatabase {
             },
         };
         let entry = self.translate_entry(query)?;
-        let mut cache = self.cache.map.write().unwrap();
+        let mut cache = map.write().unwrap();
         if cache.len() >= MAX_CACHED_TRANSLATIONS && !cache.contains_key(text) {
             return Ok(entry);
         }
@@ -614,8 +638,8 @@ impl FrozenDatabase {
     fn translate_entry(&self, query: Query) -> Result<Arc<CachedQuery>, SparqLogError> {
         // Never gated on `armed`: the returned value is the `f{n}_`
         // namespace sequence, not just a statistic.
-        let n = self.cache.metrics.translations.inc() as usize;
-        let translated = translate_query(&query, self.base.symbols(), &format!("f{n}_"))?;
+        let n = self.state.cache.metrics.translations.inc() as usize;
+        let translated = translate_query(&query, self.symbols(), &format!("f{n}_"))?;
         Ok(Arc::new(CachedQuery {
             query,
             translated,
@@ -648,16 +672,17 @@ impl FrozenDatabase {
         cached: &CachedQuery,
         options: &EvalOptions,
     ) -> Result<(QueryResults, EvalStats), SparqLogError> {
-        let evaluated = match self.plan_entry(cached, options) {
-            Some(entry) => {
-                let program = entry.program.as_ref().unwrap_or(&cached.translated.program);
-                evaluate_frozen_with_plan(program, &self.base, options, Some(&entry.plan))
-            }
-            None => evaluate_frozen(&cached.translated.program, &self.base, options),
-        };
-        let m = &self.cache.metrics;
+        let entry = self.plan_entry(cached, options);
+        let program = entry
+            .as_ref()
+            .and_then(|e| e.program.as_ref())
+            .unwrap_or(&cached.translated.program);
+        let mut db = Database::overlay(self.state.base.clone());
+        let evaluated =
+            evaluate_with_plan(program, &mut db, options, entry.as_ref().map(|e| &e.plan));
+        let m = self.core_metrics();
         match evaluated {
-            Ok((db, stats)) => {
+            Ok(stats) => {
                 if m.registry.armed() {
                     m.queries.inc();
                     m.query_duration_us
@@ -683,71 +708,6 @@ impl FrozenDatabase {
         }
     }
 
-    /// [`Self::run`] with [`EvalOptions::profile`] armed, unboxing the
-    /// profile the evaluator attaches.
-    fn run_profiled(
-        &self,
-        cached: &CachedQuery,
-        options: &EvalOptions,
-    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
-        let options = EvalOptions {
-            profile: true,
-            ..options.clone()
-        };
-        let (results, stats) = self.run_collect(cached, &options)?;
-        let profile = stats.profile.expect("profiling was armed");
-        Ok((results, *profile))
-    }
-
-    /// [`Self::execute`] with per-query profiling armed: alongside the
-    /// results, returns the `EXPLAIN ANALYZE`-style [`QueryProfile`] —
-    /// per-rule timings, per-round delta sizes, index builds (see
-    /// [`sparqlog_datalog::QueryProfile`]). Profiling adds per-job
-    /// timing overhead, so it is opt-in per call rather than an option
-    /// on the snapshot.
-    ///
-    /// ```
-    /// use sparqlog::SparqLog;
-    ///
-    /// let mut engine = SparqLog::new();
-    /// engine
-    ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
-    ///     .unwrap();
-    /// let frozen = engine.freeze();
-    /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
-    /// let (results, profile) = frozen.execute_profiled(q).unwrap();
-    /// assert_eq!(results.len(), 1);
-    /// assert!(profile.render().contains("stratum 0"));
-    /// ```
-    pub fn execute_profiled(
-        &self,
-        query_str: &str,
-    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
-        let cached = self.translation(query_str)?;
-        self.run_profiled(&cached, &self.options)
-    }
-
-    /// [`Self::execute_profiled`] under an explicit [`Budget`] (the
-    /// HTTP layer's `profile=true` path: request budgets still apply).
-    pub fn execute_profiled_with_budget(
-        &self,
-        query_str: &str,
-        budget: &Budget,
-    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
-        let cached = self.translation(query_str)?;
-        self.run_profiled(&cached, &self.options_with(budget))
-    }
-
-    /// [`Self::execute_prepared`] with per-query profiling armed (see
-    /// [`Self::execute_profiled`]).
-    pub fn execute_prepared_profiled(
-        &self,
-        p: &PreparedQuery,
-    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
-        self.check_prepared(p)?;
-        self.run_profiled(&p.inner, &self.options)
-    }
-
     /// The query's physical plan: a cache hit when an entry exists and
     /// the snapshot's statistics have not drifted past its fingerprint;
     /// otherwise the query is (re)planned — magic-sets rewrite first when
@@ -759,18 +719,18 @@ impl FrozenDatabase {
         if !options.plan {
             return None;
         }
-        let stats = self.base.stats();
+        let stats = self.stats();
+        let metrics = self.core_metrics();
         if let Some(entry) = cached.plan.read().unwrap().as_ref() {
             if !entry.fingerprint.drifted(&stats) {
-                self.cache.metrics.plan_hits.inc();
+                metrics.plan_hits.inc();
                 return Some(entry.clone());
             }
         }
         let entry = self.compute_plan(cached, options, &stats)?;
         *cached.plan.write().unwrap() = Some(entry.clone());
-        self.cache.metrics.plans_computed.inc();
-        self.cache
-            .metrics
+        metrics.plans_computed.inc();
+        metrics
             .plan_cross_products
             .add(entry.plan.cross_products() as u64);
         Some(entry)
@@ -792,7 +752,7 @@ impl FrozenDatabase {
         options: &EvalOptions,
         stats: &DbStats,
     ) -> Option<Arc<PlanEntry>> {
-        let symbols = self.base.symbols();
+        let symbols = self.symbols();
         let program = &cached.translated.program;
         let rewritten = if options.magic_sets {
             magic_sets_rewrite_analyzed(program, symbols).and_then(|rw| {
@@ -804,10 +764,11 @@ impl FrozenDatabase {
                             threads: Some(1),
                             ..options.clone()
                         };
-                        match evaluate_frozen(&sub, &self.base, &sub_options) {
-                            Ok((db, _)) => demand_prunes(&rw, &db),
-                            // Not measurable (e.g. timeout): keep the
-                            // rewrite, the conservative pre-demotion
+                        let mut db = Database::overlay(self.state.base.clone());
+                        match evaluate(&sub, &mut db, &sub_options) {
+                            Ok(_) => demand_prunes(&rw, &db),
+                            // Not measurable (e.g. a budget abort): keep
+                            // the rewrite, the conservative pre-demotion
                             // behavior.
                             Err(_) => true,
                         }
@@ -832,7 +793,7 @@ impl FrozenDatabase {
     /// distinct estimates) — collected once per snapshot and carried
     /// incrementally across the store's commits.
     pub fn stats(&self) -> Arc<DbStats> {
-        self.base.stats()
+        self.state.base.stats()
     }
 
     /// Executions served from a still-valid cached physical plan, across
@@ -840,13 +801,13 @@ impl FrozenDatabase {
     /// [`Self::plans_computed`] this is how tests prove a
     /// [`PreparedQuery`] re-execution performs zero planning work.
     pub fn plan_cache_hits(&self) -> usize {
-        self.cache.metrics.plan_hits.get() as usize
+        self.state.cache.metrics.plan_hits.get() as usize
     }
 
     /// Physical plans computed through this store's caches: first
     /// executions and statistics-drift replans.
     pub fn plans_computed(&self) -> usize {
-        self.cache.metrics.plans_computed.get() as usize
+        self.state.cache.metrics.plans_computed.get() as usize
     }
 
     /// Renders the physical plan a [`PreparedQuery`] executes with
@@ -860,13 +821,13 @@ impl FrozenDatabase {
     /// planning is disabled or the program cannot be planned.
     pub fn explain(&self, p: &PreparedQuery) -> Result<String, SparqLogError> {
         self.check_prepared(p)?;
-        match self.plan_entry(&p.inner, &self.options) {
+        match self.plan_entry(&p.inner, self.options()) {
             Some(entry) => {
                 let program = entry
                     .program
                     .as_ref()
                     .unwrap_or(&p.inner.translated.program);
-                Ok(entry.plan.render(program, self.base.symbols()))
+                Ok(entry.plan.render(program, self.symbols()))
             }
             None => Ok("(no physical plan: planning disabled or program not plannable)".into()),
         }
@@ -887,10 +848,10 @@ fn panic_marker_hook(text: &str) {
     }
 }
 
-impl std::fmt::Debug for FrozenDatabase {
+impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrozenDatabase")
-            .field("facts", &self.base.fact_count())
+        f.debug_struct("Snapshot")
+            .field("facts", &self.fact_count())
             .field("cached_translations", &self.cached_translations())
             .finish()
     }
@@ -899,34 +860,42 @@ impl std::fmt::Debug for FrozenDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SparqLog;
+    use crate::Store;
 
     const DATA: &str = r#"@prefix ex: <http://ex.org/> .
         ex:spain ex:borders ex:france .
         ex:france ex:borders ex:belgium .
         ex:belgium ex:borders ex:germany ."#;
 
-    fn frozen() -> FrozenDatabase {
-        let mut engine = SparqLog::new();
-        engine.load_turtle(DATA).unwrap();
-        engine.freeze()
+    fn frozen() -> Snapshot {
+        snapshot_of(DATA, EvalOptions::default())
+    }
+
+    fn snapshot_of(turtle: &str, options: EvalOptions) -> Snapshot {
+        let store = Store::with_options(options);
+        store.load_turtle(turtle).unwrap();
+        store.snapshot()
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
 
     #[test]
     fn frozen_database_is_send_sync() {
-        assert_send_sync::<FrozenDatabase>();
+        assert_send_sync::<Snapshot>();
     }
 
     #[test]
     fn execute_matches_mutable_engine() {
         let q = "PREFIX ex: <http://ex.org/>
                  SELECT ?b WHERE { ex:spain ex:borders+ ?b }";
-        let mut engine = SparqLog::new();
-        engine.load_turtle(DATA).unwrap();
-        engine.set_threads(Some(1));
-        let expected = engine.execute(q).unwrap();
+        let single = snapshot_of(
+            DATA,
+            EvalOptions {
+                threads: Some(1),
+                ..EvalOptions::default()
+            },
+        );
+        let expected = single.execute(q).unwrap();
         let frozen = frozen();
         assert_eq!(frozen.execute(q).unwrap(), expected);
     }
@@ -980,14 +949,14 @@ mod tests {
     #[test]
     fn query_typed_batch() {
         let frozen = frozen();
-        let queries: Vec<Query> = [
+        let queries: Vec<PreparedQuery> = [
             "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders ?b }",
             "PREFIX ex: <http://ex.org/> SELECT ?a WHERE { ?a ex:borders ex:germany }",
         ]
         .iter()
-        .map(|q| parse_query(q).unwrap())
+        .map(|q| frozen.prepare_query(parse_query(q).unwrap()).unwrap())
         .collect();
-        let results = frozen.execute_query_batch(&queries);
+        let results = frozen.execute_prepared_batch(&queries);
         assert_eq!(results[0].as_ref().unwrap().len(), 1);
         assert_eq!(results[1].as_ref().unwrap().len(), 1);
     }
@@ -1037,17 +1006,15 @@ mod tests {
 
     #[test]
     fn planned_and_unplanned_results_agree() {
-        let mut engine = SparqLog::new();
-        engine.load_turtle(DATA).unwrap();
-        let frozen = engine.freeze();
-        let mut raw_engine = SparqLog::new();
-        raw_engine.load_turtle(DATA).unwrap();
-        let unplanned = {
-            let (base, mut options, cache) = raw_engine.freeze().into_base();
-            options.plan = false;
-            options.magic_sets = false;
-            FrozenDatabase::with_cache(base, options, cache)
-        };
+        let frozen = frozen();
+        let unplanned = snapshot_of(
+            DATA,
+            EvalOptions {
+                plan: false,
+                magic_sets: false,
+                ..EvalOptions::default()
+            },
+        );
         for q in [
             "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders+ ?b }",
             "PREFIX ex: <http://ex.org/>
@@ -1078,9 +1045,7 @@ mod tests {
     fn selective_demand_keeps_the_magic_rewrite() {
         // A path bound near the end of a 30-edge chain demands a handful
         // of nodes: planning measures that and keeps the rewrite.
-        let mut engine = SparqLog::new();
-        engine.load_turtle(&path_turtle(30, false)).unwrap();
-        let frozen = engine.freeze();
+        let frozen = snapshot_of(&path_turtle(30, false), EvalOptions::default());
         let q = frozen
             .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n25 ex:p+ ?z }")
             .unwrap();
@@ -1100,9 +1065,7 @@ mod tests {
         // pure overhead, so planning measures the demand fixpoint once
         // and picks the plain program instead; no execution ever pays
         // for the rewrite.
-        let mut engine = SparqLog::new();
-        engine.load_turtle(&path_turtle(30, true)).unwrap();
-        let frozen = engine.freeze();
+        let frozen = snapshot_of(&path_turtle(30, true), EvalOptions::default());
         let q = frozen
             .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:p+ ?z }")
             .unwrap();

@@ -37,13 +37,13 @@ pub struct SolutionSeq {
 /// name — so callers stop counting columns:
 ///
 /// ```
-/// use sparqlog::SparqLog;
+/// use sparqlog::Store;
 ///
-/// let mut engine = SparqLog::new();
-/// engine
+/// let store = Store::new();
+/// store
 ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
 ///     .unwrap();
-/// let result = engine
+/// let result = store
 ///     .execute("PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }")
 ///     .unwrap();
 /// let solutions = result.solutions().unwrap();
@@ -206,13 +206,6 @@ pub enum QueryResults {
     /// its indexes inline, and results move through batch slots).
     Graph(Box<Graph>),
 }
-
-/// Deprecated alias of [`QueryResults`] — the pre-PR 5 name, from before
-/// CONSTRUCT/DESCRIBE added the `Graph` variant. Existing two-armed
-/// `match`es keep compiling through the alias (modulo the new variant);
-/// migrate by renaming.
-#[deprecated(note = "renamed to `QueryResults`; CONSTRUCT/DESCRIBE added a `Graph` variant")]
-pub type QueryResult = QueryResults;
 
 impl QueryResults {
     /// The solutions, if this is a SELECT result.

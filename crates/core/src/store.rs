@@ -1,9 +1,8 @@
 //! The unified [`Store`] API: one durable handle serving cheap read
 //! snapshots and explicit write sessions, with SPARQL 1.1 Update on top.
 //!
-//! This subsumes the `SparqLog` / `FrozenDatabase` split of the earlier
-//! PRs (both remain as thin compatibility wrappers). The lifecycle it
-//! models is the one real query logs exhibit — read-mostly traffic with
+//! It is the only way to load and query data. The lifecycle it models
+//! is the one real query logs exhibit — read-mostly traffic with
 //! occasional writes:
 //!
 //! * [`Store::snapshot`] hands out a [`Snapshot`]: an `Arc`-shared,
@@ -90,9 +89,6 @@
 //! (the explicitly written quads) from the first ontology-bearing
 //! commit on: deletes apply to the ledger, and a triple that is both
 //! asserted and entailed stays visible until its last support is gone.
-//! One caveat remains: a store converted from a pre-materialised engine
-//! ([`crate::SparqLog::into_store`]) counts the rows already entailed
-//! at conversion time as asserted.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -110,10 +106,10 @@ use sparqlog_sparql::{
 };
 
 use crate::data_translation::{base_program, default_graph_const, preds, term_to_const};
-use crate::engine::SparqLogError;
+use crate::error::SparqLogError;
 use crate::ontology::Ontology;
 use crate::query_translation::update_where_query;
-use crate::serving::{FrozenDatabase, PreparedQuery};
+use crate::serving::{PreparedQuery, Snapshot};
 use crate::solution::QueryResults;
 use crate::subscribe::{prefilter, Registry, Subscription, DEFAULT_MAILBOX_CAPACITY};
 
@@ -141,7 +137,7 @@ struct StoreState {
     /// The serving snapshot. `None` only while a zero-copy commit holds
     /// the state lock (readers block, never observe it) — or permanently
     /// after such a commit failed ([`POISONED`]).
-    frozen: Option<Arc<FrozenDatabase>>,
+    frozen: Option<Snapshot>,
     /// Accumulated ontology rules, re-materialised on every commit.
     ontology: Program,
     /// The asserted ledger: the explicitly written quads, tracked
@@ -189,22 +185,24 @@ impl Default for Store {
 
 impl Store {
     /// Creates an empty store with default evaluation options.
+    ///
+    /// ```
+    /// use sparqlog::Store;
+    ///
+    /// let store = Store::new();
+    /// assert_eq!(store.fact_count(), 0);
+    /// ```
     pub fn new() -> Self {
         Self::with_options(EvalOptions::default())
     }
 
-    /// Creates an empty store with explicit evaluation options (timeout,
-    /// thread count, ...).
+    /// Creates an empty store with explicit evaluation options (default
+    /// budget, thread count, planner toggles, ...).
     pub fn with_options(options: EvalOptions) -> Self {
-        Self::from_parts(Database::new(), options, Program::new())
-    }
-
-    pub(crate) fn from_parts(db: Database, options: EvalOptions, ontology: Program) -> Self {
-        let frozen = Arc::new(FrozenDatabase::new(db.freeze(), options.clone()));
         Store {
             state: RwLock::new(StoreState {
-                frozen: Some(frozen),
-                ontology,
+                frozen: Some(Snapshot::empty(options.clone())),
+                ontology: Program::new(),
                 asserted: None,
                 options,
             }),
@@ -215,7 +213,13 @@ impl Store {
         }
     }
 
-    fn current(&self) -> Arc<FrozenDatabase> {
+    /// The current read view: an `Arc`-shared, index-complete snapshot.
+    ///
+    /// Snapshots are immutable and version-stable — later commits do not
+    /// affect them — and carry the whole concurrent query API
+    /// ([`Snapshot::execute`], [`Snapshot::execute_batch`], prepared
+    /// queries, the translation cache).
+    pub fn snapshot(&self) -> Snapshot {
         self.state
             .read()
             .unwrap()
@@ -223,18 +227,6 @@ impl Store {
             .as_ref()
             .expect(POISONED)
             .clone()
-    }
-
-    /// The current read view: an `Arc`-shared, index-complete snapshot.
-    ///
-    /// Snapshots are immutable and version-stable — later commits do not
-    /// affect them — and deref to [`FrozenDatabase`], so the whole
-    /// concurrent query API (`execute`, `execute_batch`, the translation
-    /// cache) is available on them.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            inner: self.current(),
-        }
     }
 
     /// Opens a write session staging triple-level changes; nothing is
@@ -252,46 +244,33 @@ impl Store {
     /// (convenience for [`Store::snapshot`] + `execute`; takes a fresh
     /// snapshot per call, so prefer holding a [`Snapshot`] when issuing
     /// many queries against one version).
+    ///
+    /// ```
+    /// use sparqlog::Store;
+    ///
+    /// let store = Store::new();
+    /// store
+    ///     .load_turtle(
+    ///         "@prefix ex: <http://ex.org/> .
+    ///          ex:a ex:p ex:b . ex:a ex:p ex:c .",
+    ///     )
+    ///     .unwrap();
+    /// let result = store
+    ///     .execute("PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }")
+    ///     .unwrap();
+    /// assert_eq!(result.len(), 2); // ex:b, ex:c
+    /// ```
     pub fn execute(&self, query: &str) -> Result<QueryResults, SparqLogError> {
-        self.current().execute(query)
-    }
-
-    /// [`Store::execute`] under an explicit [`Budget`], which replaces
-    /// the store's default budget for this execution only (see
-    /// [`FrozenDatabase::execute_with_budget`]).
-    pub fn execute_with_budget(
-        &self,
-        query: &str,
-        budget: &Budget,
-    ) -> Result<QueryResults, SparqLogError> {
-        self.current().execute_with_budget(query, budget)
-    }
-
-    /// Executes a batch of queries against the current snapshot, fanned
-    /// over the worker pool (see [`FrozenDatabase::execute_batch`]).
-    pub fn execute_batch(&self, queries: &[&str]) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.current().execute_batch(queries)
-    }
-
-    /// [`Store::execute_batch`] under an explicit [`Budget`] — per-query
-    /// limits plus batch-wide first-abort cancellation (see
-    /// [`FrozenDatabase::execute_batch_with_budget`]).
-    pub fn execute_batch_with_budget(
-        &self,
-        queries: &[&str],
-        budget: &Budget,
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.current().execute_batch_with_budget(queries, budget)
+        self.snapshot().execute(query)
     }
 
     /// Parses and translates a query once, returning a reusable
     /// [`PreparedQuery`] handle. Translations are data-independent, so
     /// the handle stays valid across commits — execute it against any
-    /// later [`Snapshot`] (or through
-    /// [`FrozenDatabase::execute_prepared`] /
-    /// [`FrozenDatabase::execute_prepared_batch`] on a snapshot).
+    /// later [`Snapshot`] ([`Snapshot::execute_prepared`],
+    /// [`Snapshot::execute_prepared_batch`]).
     pub fn prepare(&self, query: &str) -> Result<PreparedQuery, SparqLogError> {
-        self.current().prepare(query)
+        self.snapshot().prepare(query)
     }
 
     /// Registers a standing `SELECT` query: after every commit that
@@ -329,7 +308,7 @@ impl Store {
         // commit can land between them (a commit would then be neither
         // in the baseline nor delivered as a delta).
         let _serial = self.commit_lock.lock().unwrap();
-        let snapshot = self.current();
+        let snapshot = self.snapshot();
         let result = snapshot.execute_prepared(query)?;
         let baseline = result
             .solutions()
@@ -424,8 +403,12 @@ impl Store {
         insert: &[QuadPattern],
         pattern: sparqlog_sparql::GraphPattern,
     ) -> Result<CommitStats, SparqLogError> {
-        let query = update_where_query(pattern);
-        let result = self.snapshot().execute_query(&query)?;
+        // The snapshot is dropped before the commit below, so that commit
+        // may still take the zero-copy path.
+        let result = {
+            let snapshot = self.snapshot();
+            snapshot.execute_prepared(&snapshot.prepare_query(update_where_query(pattern))?)?
+        };
         let Some(solutions) = result.solutions() else {
             return Ok(CommitStats::default());
         };
@@ -453,6 +436,20 @@ impl Store {
     }
 
     /// Stages and commits a Turtle document into the default graph.
+    ///
+    /// The commit materialises the T_D auxiliary predicates, so the
+    /// store holds more facts than triples:
+    ///
+    /// ```
+    /// use sparqlog::Store;
+    ///
+    /// let store = Store::new();
+    /// let stats = store
+    ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
+    ///     .unwrap();
+    /// assert_eq!(stats.added, 1);
+    /// assert!(store.fact_count() > 1); // term/1, comp/3, ... materialised
+    /// ```
     pub fn load_turtle(&self, src: &str) -> Result<CommitStats, SparqLogError> {
         let mut w = self.writer();
         w.add_turtle(src)?;
@@ -496,12 +493,12 @@ impl Store {
     /// Total number of facts (triples plus auxiliary and derived
     /// predicates) in the current snapshot.
     pub fn fact_count(&self) -> usize {
-        self.current().database().fact_count()
+        self.snapshot().fact_count()
     }
 
     /// The store's symbol table (shared across all snapshots).
     pub fn symbols(&self) -> Arc<SymbolTable> {
-        self.current().symbols().clone()
+        self.snapshot().symbols().clone()
     }
 
     /// The evaluation options commits run with.
@@ -511,8 +508,11 @@ impl Store {
 
     /// Sets the worker-thread count for subsequent commits and
     /// snapshots (the current snapshot is re-wrapped; the translation
-    /// cache is store-lifetime and carries over). See
-    /// [`SparqLog::set_threads`](crate::SparqLog::set_threads).
+    /// cache is store-lifetime and carries over). `None` restores the
+    /// default resolution (the `SPARQLOG_THREADS` env var, then the
+    /// machine's available parallelism); `Some(1)` forces the
+    /// deterministic single-threaded evaluator. Results are
+    /// multiset-identical whatever the setting.
     pub fn set_threads(&self, threads: Option<usize>) {
         let mut options = self.options();
         options.threads = threads;
@@ -521,7 +521,7 @@ impl Store {
 
     /// Sets the default [`Budget`] every subsequent query (and commit
     /// materialisation) runs under — the store-wide guard-rail policy.
-    /// Per-call `*_with_budget` entry points override it; snapshots taken
+    /// A [`Snapshot::with_budget`] view overrides it; snapshots taken
     /// before this call keep the budget they were taken with. The budget
     /// is a *policy*: a relative timeout in it is re-armed per query, not
     /// counted from this call.
@@ -533,19 +533,18 @@ impl Store {
 
     /// Replaces the evaluation options for subsequent commits, queries
     /// and snapshots — thread count, the cost-based planner and
-    /// magic-sets toggles, timeouts and depth limits. The current
+    /// magic-sets toggles, the default budget and depth limits. The current
     /// snapshot is re-wrapped around the new options; the translation
     /// cache (and its cached plans) is store-lifetime and carries over.
     pub fn set_options(&self, options: EvalOptions) {
         let mut state = self.state.write().unwrap();
         state.options = options;
         let current = state.frozen.as_ref().expect(POISONED);
-        let (base, cache) = (current.database().clone(), current.cache_handle());
-        state.frozen = Some(Arc::new(FrozenDatabase::with_cache(
-            base,
+        state.frozen = Some(Snapshot::new(
+            current.database().clone(),
             state.options.clone(),
-            cache,
-        )));
+            current.cache_handle(),
+        ));
     }
 
     /// [`Store::apply_locked`] behind the commit lock — the entry point
@@ -587,9 +586,8 @@ impl Store {
         // readers keep being served the pre-commit version while the
         // commit works on the copy, and a failed commit leaves the store
         // untouched instead of poisoned.
-        let (base, cache, asserted, held_state) = match Arc::try_unwrap(current) {
-            Ok(fd) => {
-                let (base, _options, cache) = fd.into_base();
+        let (base, cache, asserted, held_state) = match current.try_unwrap() {
+            Ok((base, cache)) => {
                 let asserted = state.asserted.take();
                 (base, cache, asserted, Some(state))
             }
@@ -649,10 +647,7 @@ impl Store {
         // Start the asserted ledger at the first ontology-bearing
         // commit: from here on `triple` also carries entailed rows, so
         // the assertions need their own record for deletes to maintain
-        // against. (At this point `triple` still holds assertions only —
-        // except for a store converted from a pre-materialised engine,
-        // whose already-entailed rows become part of the baseline; see
-        // the module docs.)
+        // against. (At this point `triple` still holds assertions only.)
         if has_ontology && asserted.is_none() {
             asserted = Some(match db.relation(triple_p) {
                 Some(rel) => rel.clone_for_write(),
@@ -992,7 +987,7 @@ impl Store {
         if let Some(prev) = &prev_stats {
             snapshot.warm_stats_from(prev);
         }
-        let new_frozen = Arc::new(FrozenDatabase::with_cache(snapshot, options, cache));
+        let new_frozen = Snapshot::new(snapshot, options, cache);
         let notify_snapshot = new_frozen.clone();
         let new_asserted = asserted.map(Arc::new);
         match held_state {
@@ -1050,7 +1045,7 @@ impl Store {
     /// families into the same registry, and `GET /metrics` renders it
     /// in the Prometheus text exposition format.
     pub fn metrics(&self) -> Arc<sparqlog_obs::MetricsRegistry> {
-        self.current().metrics().clone()
+        self.snapshot().metrics().clone()
     }
 }
 
@@ -1105,43 +1100,6 @@ fn instantiate(
         object,
         graph: template.graph.clone(),
     })
-}
-
-/// An immutable, version-stable read view of a [`Store`].
-///
-/// Cloning is one atomic refcount. Derefs to [`FrozenDatabase`], so the
-/// whole concurrent query API is available: [`FrozenDatabase::execute`],
-/// [`FrozenDatabase::execute_batch`], the translation cache. Passing a
-/// SPARQL *Update* string to `execute` returns
-/// [`SparqLogError::ReadOnly`] — route writes through the owning store.
-#[derive(Clone, Debug)]
-pub struct Snapshot {
-    inner: Arc<FrozenDatabase>,
-}
-
-impl Snapshot {
-    /// The underlying serving wrapper (also reachable via deref).
-    pub fn frozen(&self) -> &FrozenDatabase {
-        &self.inner
-    }
-
-    /// The underlying frozen Datalog snapshot.
-    pub fn database(&self) -> &Arc<FrozenDb> {
-        self.inner.database()
-    }
-
-    /// Total number of facts in this snapshot.
-    pub fn fact_count(&self) -> usize {
-        self.inner.database().fact_count()
-    }
-}
-
-impl std::ops::Deref for Snapshot {
-    type Target = FrozenDatabase;
-
-    fn deref(&self) -> &FrozenDatabase {
-        &self.inner
-    }
 }
 
 /// A write session on a [`Store`]: stages triple additions, removals
@@ -1857,32 +1815,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_migrates_into_store() {
-        let mut engine = crate::SparqLog::new();
-        engine
-            .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
-            .unwrap();
-        let store: Store = engine.into();
-        store
-            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:b ex:p ex:c }")
-            .unwrap();
-        assert_eq!(
-            store
-                .execute("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:a ex:p+ ?z }")
-                .unwrap()
-                .len(),
-            2
-        );
-    }
-
-    #[test]
     fn parsed_query_and_batch_apis_work_on_snapshots() {
         let store = borders_store();
         let snapshot = store.snapshot();
         let q = parse_query("PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ?a ex:borders ?b }")
             .unwrap();
-        assert_eq!(snapshot.execute_query(&q).unwrap().len(), 3);
-        let results = store.execute_batch(&[
+        let prepared = snapshot.prepare_query(q).unwrap();
+        assert_eq!(snapshot.execute_prepared(&prepared).unwrap().len(), 3);
+        let results = store.snapshot().execute_batch(&[
             "PREFIX ex: <http://ex.org/> ASK { ex:spain ex:borders ex:france }",
             "not a query",
         ]);
@@ -1918,7 +1858,7 @@ mod tests {
 
         // A row-capped query aborts and lands in the labelled family.
         let tight = Budget::new().with_max_rows(1);
-        let err = store.execute_with_budget(q, &tight).unwrap_err();
+        let err = store.snapshot().with_budget(tight).execute(q).unwrap_err();
         assert!(err.is_aborted());
         assert_eq!(reg.counter_vec_sum("sparqlog_query_aborts_total"), Some(1));
         assert_eq!(reg.counter_value("sparqlog_queries_total"), Some(2));
@@ -2023,7 +1963,9 @@ mod tests {
         let store = borders_store();
         let q = "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders+ ?b }";
         let snapshot = store.snapshot();
-        let (results, profile) = snapshot.execute_profiled(q).unwrap();
+        let (results, profile) = snapshot
+            .execute_prepared_profiled(&snapshot.prepare(q).unwrap())
+            .unwrap();
         assert_eq!(results.len(), 3);
         assert!(!profile.rules.is_empty());
         assert!(!profile.strata.is_empty());

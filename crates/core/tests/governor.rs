@@ -1,6 +1,7 @@
-//! The execution governor at the serving layer (PR 7): budgets and
-//! cancellation through `Store` / `Snapshot` / `FrozenDatabase`, batch
-//! sibling cancellation, panic containment, and — the critical property —
+//! The execution governor at the serving layer: budgets and cancellation
+//! through `Store` and `Snapshot` (store-wide defaults and
+//! `Snapshot::with_budget` views), batch sibling cancellation, panic
+//! containment, and — the critical property —
 //! that a storm of aborted queries leaves no shared-state corruption
 //! behind: the same snapshot then answers every query byte-identically
 //! to an uncancelled run.
@@ -75,7 +76,7 @@ fn deadline_storm_leaves_no_corruption() {
     for threads in [Some(1), None] {
         store.set_threads(threads);
         let stormed = store.snapshot();
-        let results = stormed.execute_batch_with_budget(&refs, &deadline);
+        let results = stormed.with_budget(deadline.clone()).execute_batch(&refs);
         assert_eq!(results.len(), refs.len());
         let mut aborted = 0usize;
         for (i, r) in results.iter().enumerate() {
@@ -114,7 +115,7 @@ fn first_abort_cancels_batch_siblings() {
     let refs = [heavy; 6];
     let budget = Budget::new().with_max_rows(2_000);
     let start = Instant::now();
-    let results = store.snapshot().execute_batch_with_budget(&refs, &budget);
+    let results = store.snapshot().with_budget(budget).execute_batch(&refs);
     let elapsed = start.elapsed();
     match &results[0] {
         Err(SparqLogError::Aborted {
@@ -144,10 +145,10 @@ fn first_abort_cancels_batch_siblings() {
 fn parse_error_does_not_cancel_siblings() {
     let store = ring_store(30);
     let ok = "PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:next ?z }";
-    let results = store.snapshot().execute_batch_with_budget(
-        &["this is not sparql", ok],
-        &Budget::new().with_timeout(Duration::from_secs(30)),
-    );
+    let results = store
+        .snapshot()
+        .with_budget(Budget::new().with_timeout(Duration::from_secs(30)))
+        .execute_batch(&["this is not sparql", ok]);
     assert!(matches!(results[0], Err(SparqLogError::Parse(_))));
     assert!(!results[1].as_ref().unwrap().is_empty());
 }
@@ -162,7 +163,8 @@ fn external_token_cancels_whole_batch() {
     let q = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }";
     let results = store
         .snapshot()
-        .execute_batch_with_budget(&[q, q, q], &Budget::new().with_cancel(cancel));
+        .with_budget(Budget::new().with_cancel(cancel))
+        .execute_batch(&[q, q, q]);
     for r in &results {
         assert!(
             matches!(
@@ -204,8 +206,8 @@ fn poisoned_query_in_batch_leaves_siblings_intact() {
     assert_eq!(store.execute(ok).unwrap(), expected);
 }
 
-/// The store-wide default budget governs plain `execute`; a per-call
-/// budget overrides it in both directions.
+/// The store-wide default budget governs plain `execute`; a
+/// `with_budget` view overrides it in both directions.
 #[test]
 fn store_default_budget_governs_and_is_overridable() {
     let store = ring_store(150);
@@ -223,34 +225,36 @@ fn store_default_budget_governs_and_is_overridable() {
         "got {err:?}"
     );
     // Per-call override lifts the default cap...
-    let full = store.execute_with_budget(heavy, &Budget::new()).unwrap();
+    let full = store
+        .snapshot()
+        .with_budget(Budget::new())
+        .execute(heavy)
+        .unwrap();
     assert!(!full.is_empty());
     // ...and a per-call cap tightens an unlimited default.
     store.set_default_budget(Budget::new());
     assert!(store
-        .execute_with_budget(heavy, &Budget::new().with_max_rows(1_000))
+        .snapshot()
+        .with_budget(Budget::new().with_max_rows(1_000))
+        .execute(heavy)
         .unwrap_err()
         .is_aborted());
     assert_eq!(store.execute(heavy).unwrap(), full);
 }
 
-/// Prepared queries honour per-call budgets too, and the handle stays
+/// Prepared queries honour `with_budget` views too, and the handle stays
 /// valid after an abort.
 #[test]
-fn prepared_query_with_budget() {
+fn prepared_query_under_budget_view() {
     let store = ring_store(150);
     let q = store
         .prepare("PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }")
         .unwrap();
     let snapshot = store.snapshot();
-    let err = snapshot
-        .execute_prepared_with_budget(&q, &Budget::new().with_max_rows(500))
-        .unwrap_err();
+    let capped = snapshot.with_budget(Budget::new().with_max_rows(500));
+    let err = capped.execute_prepared(&q).unwrap_err();
     assert!(err.is_aborted());
-    let batch = snapshot.execute_prepared_batch_with_budget(
-        &[q.clone(), q.clone()],
-        &Budget::new().with_max_rows(500),
-    );
+    let batch = capped.execute_prepared_batch(&[q.clone(), q.clone()]);
     assert!(batch.iter().all(|r| r.as_ref().is_err()));
     // Unbudgeted execution of the same handle still completes.
     assert!(!snapshot.execute_prepared(&q).unwrap().is_empty());
@@ -266,7 +270,9 @@ fn abort_error_is_actionable() {
     let heavy = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }";
 
     let err = store
-        .execute_with_budget(heavy, &Budget::new().with_max_rows(1_000))
+        .snapshot()
+        .with_budget(Budget::new().with_max_rows(1_000))
+        .execute(heavy)
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("derived-row limit"), "message: {msg}");
@@ -275,7 +281,9 @@ fn abort_error_is_actionable() {
     assert!(!err.is_timeout());
 
     let err = store
-        .execute_with_budget(heavy, &Budget::new().with_timeout(Duration::from_millis(1)))
+        .snapshot()
+        .with_budget(Budget::new().with_timeout(Duration::from_millis(1)))
+        .execute(heavy)
         .unwrap_err();
     assert!(
         err.is_timeout(),
@@ -284,4 +292,48 @@ fn abort_error_is_actionable() {
 
     let parse = store.execute("nonsense").unwrap_err();
     assert!(parse.source().is_some(), "parse errors chain their cause");
+}
+
+/// A `with_budget` view is a view, not a setting: a 1-row cap aborts the
+/// view's query while the snapshot it came from answers the same query
+/// in full.
+#[test]
+fn budget_view_aborts_while_its_snapshot_answers_in_full() {
+    let store = ring_store(30);
+    let q = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }";
+    let snapshot = store.snapshot();
+    let view = snapshot.with_budget(Budget::new().with_max_rows(1));
+    match view.execute(q) {
+        Err(SparqLogError::Aborted {
+            reason: AbortReason::RowLimit,
+            ..
+        }) => {}
+        other => panic!("the 1-row view should abort, got {other:?}"),
+    }
+    let full = snapshot.execute(q).unwrap();
+    assert_eq!(full, store.execute(q).unwrap());
+    assert!(full.len() > 1, "the parent answers in full");
+    // The view keeps its cap; the parent keeps the store default.
+    assert!(view.execute(q).unwrap_err().is_aborted());
+    assert!(snapshot.options().budget.is_unlimited());
+}
+
+/// A live view pins the version it was taken from: after a commit it
+/// still reports the pre-commit content and results, while the store
+/// serves the new version.
+#[test]
+fn budget_view_pins_its_version() {
+    let store = ring_store(30);
+    let q = "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:n0 ex:next ?b }";
+    let view = store
+        .snapshot()
+        .with_budget(Budget::new().with_timeout(Duration::from_secs(30)));
+    let signature = view.database().content_signature();
+    let before = view.execute(q).unwrap();
+    store
+        .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:n0 ex:next ex:extra }")
+        .unwrap();
+    assert_eq!(view.database().content_signature(), signature);
+    assert_eq!(view.execute(q).unwrap(), before);
+    assert_eq!(store.execute(q).unwrap().len(), before.len() + 1);
 }

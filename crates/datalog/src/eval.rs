@@ -60,7 +60,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::database::{row_hash, ColumnBatch, Database, Index, Mask, Relation, Staging};
-use crate::frozen::FrozenDb;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::govern::{AbortReason, Budget};
 use crate::plan::{atom_probe, KeyArg};
@@ -73,9 +72,6 @@ use crate::value::{Const, OrdF64, TermDict, TermId};
 /// Evaluation options.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Wall-clock budget; `None` = unlimited. The gMark experiments use
-    /// this to reproduce the paper's time-outs.
-    pub timeout: Option<Duration>,
     /// Maximum semi-naive rounds per stratum (a safety net; the default is
     /// effectively unlimited).
     pub max_rounds: usize,
@@ -113,9 +109,9 @@ pub struct EvalOptions {
     /// cooperatively at batch granularity throughout the fixpoint (and
     /// inherited by the magic-sets demand fixpoint). The unlimited
     /// default costs one branch per check. A governed evaluation that
-    /// crosses a limit fails with [`EvalError::Aborted`]; the legacy
-    /// [`EvalOptions::timeout`] keeps its historical
-    /// [`EvalError::Timeout`].
+    /// crosses a limit fails with [`EvalError::Aborted`]; the gMark
+    /// experiments reproduce the paper's time-outs with
+    /// [`Budget::with_timeout`].
     pub budget: Budget,
     /// Per-query profiling ([`crate::profile`]): record per-rule
     /// timings, per-round delta sizes and index builds into a
@@ -128,7 +124,6 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            timeout: None,
             max_rounds: usize::MAX,
             max_skolem_depth: 64,
             semi_naive_reorder: true,
@@ -188,8 +183,6 @@ pub struct EvalStats {
 /// Evaluation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalError {
-    /// The wall-clock budget was exceeded (the paper's "time-out" rows).
-    Timeout,
     /// Cyclic negation/aggregation.
     Stratification(String),
     /// A rule is unsafe (unbound variable in a negated atom, condition or
@@ -221,7 +214,6 @@ pub enum EvalError {
 impl std::fmt::Display for EvalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EvalError::Timeout => write!(f, "evaluation timed out"),
             EvalError::Stratification(s) => write!(f, "{s}"),
             EvalError::Unsafe(s) => write!(f, "unsafe rule: {s}"),
             EvalError::RoundLimit => write!(f, "round limit exceeded"),
@@ -363,39 +355,6 @@ pub fn evaluate_with_plan(
         let _guard = crate::pool::ShutdownGuard(&pool);
         evaluate_inner(program, db, options, Some(&handle), plan)
     })
-}
-
-/// Evaluates `program` against a frozen snapshot, collecting all
-/// derivations into a fresh overlay database (shared symbol table and
-/// dictionary, reads falling through to `base`) — the `&self`-style
-/// evaluation entry for read-only query serving.
-///
-/// Any number of threads may call this concurrently on the same `base`:
-/// the snapshot is never written, each call owns its overlay exclusively,
-/// and the shared symbol table / term dictionary are internally
-/// synchronised. Returns the overlay (from which output predicates are
-/// read) alongside the run's statistics.
-pub fn evaluate_frozen(
-    program: &Program,
-    base: &Arc<FrozenDb>,
-    options: &EvalOptions,
-) -> Result<(Database, EvalStats), EvalError> {
-    evaluate_frozen_with_plan(program, base, options, None)
-}
-
-/// [`evaluate_frozen`] with an explicit physical plan — the serving
-/// layer's entry once its plan cache has a (possibly magic-rewritten)
-/// program and plan for the query. See [`evaluate_with_plan`] for the
-/// `plan` contract.
-pub fn evaluate_frozen_with_plan(
-    program: &Program,
-    base: &Arc<FrozenDb>,
-    options: &EvalOptions,
-    plan: Option<&crate::plan::ProgramPlan>,
-) -> Result<(Database, EvalStats), EvalError> {
-    let mut db = Database::overlay(base.clone());
-    let stats = evaluate_with_plan(program, &mut db, options, plan)?;
-    Ok((db, stats))
 }
 
 /// Lazily spawns the worker threads on the first genuinely parallel pass,
@@ -547,7 +506,6 @@ fn evaluate_inner(
         symbols: &symbols,
         dict: &dict,
         start,
-        timeout: options.timeout,
         max_skolem_depth: options.max_skolem_depth,
         trace,
         budget: &options.budget,
@@ -1368,7 +1326,6 @@ struct Ctx<'a> {
     symbols: &'a SymbolTable,
     dict: &'a TermDict,
     start: Instant,
-    timeout: Option<Duration>,
     max_skolem_depth: usize,
     /// `SPARQLOG_TRACE` level (0 = off), read once per evaluation.
     trace: u8,
@@ -1394,15 +1351,9 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// The periodic cooperative check, called at batch granularity (every
-    /// ~4096 join ticks, each round, each merge): legacy timeout first,
-    /// then — only when a budget is armed — cancellation, deadline,
-    /// dictionary growth and the row cap.
+    /// ~4096 join ticks, each round, each merge): only when a budget is
+    /// armed — cancellation, deadline, dictionary growth and the row cap.
     fn check(&self) -> Result<(), EvalError> {
-        if let Some(t) = self.timeout {
-            if self.start.elapsed() > t {
-                return Err(EvalError::Timeout);
-            }
-        }
         if !self.governed {
             return Ok(());
         }
@@ -1663,7 +1614,7 @@ fn eval_delta_probe(
             for &i in bucket {
                 // Tick per bucket element, matching the general join's
                 // per-call granularity: a huge bucket must still hit the
-                // timeout check every 4096 emissions.
+                // governor check every 4096 emissions.
                 *ticks += 1;
                 if *ticks & 0xFFF == 0 {
                     if let Err(e) = ctx.check() {

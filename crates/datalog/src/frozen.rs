@@ -279,7 +279,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, evaluate_frozen, EvalOptions};
+    use crate::eval::{evaluate, EvalOptions};
     use crate::parser::parse_program;
     use crate::value::Const;
 
@@ -359,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_frozen_matches_mutable_evaluation() {
+    fn overlay_evaluation_matches_mutable_evaluation() {
         let prog_src = "tc(X, Y) :- edge(X, Y).\n\
                         tc(X, Z) :- edge(X, Y), tc(Y, Z).\n\
                         @output(\"tc\").\n";
@@ -373,7 +373,8 @@ mod tests {
         // Frozen run: same program over an overlay.
         let frozen = edges_db().freeze();
         let prog2 = parse_program(prog_src, frozen.symbols()).unwrap();
-        let (overlay, _) = evaluate_frozen(&prog2, &frozen, &EvalOptions::default()).unwrap();
+        let mut overlay = Database::overlay(frozen.clone());
+        evaluate(&prog2, &mut overlay, &EvalOptions::default()).unwrap();
         let tc2 = frozen.symbols().get("tc").unwrap();
         assert_eq!(overlay.relation(tc2).unwrap().len(), expected);
         assert!(
@@ -479,9 +480,10 @@ mod tests {
                              @output(\"hop{k}\").\n"
                         );
                         let prog = parse_program(&src, frozen.symbols()).unwrap();
-                        let (db, _) = evaluate_frozen(
+                        let mut db = Database::overlay(frozen.clone());
+                        evaluate(
                             &prog,
-                            &frozen,
+                            &mut db,
                             &EvalOptions {
                                 threads: Some(1),
                                 ..Default::default()

@@ -238,14 +238,3 @@ fn deadline_governs_magic_sets_path() {
         other => panic!("expected deadline abort, got {other:?}"),
     }
 }
-
-/// The legacy `EvalOptions::timeout` keeps its distinct error so existing
-/// callers matching on `EvalError::Timeout` are unaffected.
-#[test]
-fn legacy_timeout_error_is_preserved() {
-    let options = EvalOptions {
-        timeout: Some(Duration::from_millis(1)),
-        ..Default::default()
-    };
-    assert_eq!(eval_tc(300, &options).unwrap_err(), EvalError::Timeout);
-}

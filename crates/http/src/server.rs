@@ -835,7 +835,7 @@ fn run_query(
 
     // Pin ONE snapshot for the request: evaluation and serialization
     // both see a single store version regardless of concurrent commits.
-    let snapshot = ctx.store.snapshot();
+    let snapshot = ctx.store.snapshot().with_budget(budget);
 
     // While the query runs, the connection watcher cancels the token if
     // the client hangs up. The guard is dropped before any response
@@ -844,12 +844,11 @@ fn run_query(
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if profiled {
             snapshot
-                .execute_profiled_with_budget(query, &budget)
+                .prepare(query)
+                .and_then(|p| snapshot.execute_prepared_profiled(&p))
                 .map(|(results, profile)| (results, Some(profile)))
         } else {
-            snapshot
-                .execute_with_budget(query, &budget)
-                .map(|results| (results, None))
+            snapshot.execute(query).map(|results| (results, None))
         }
     }));
     drop(guard);

@@ -8,7 +8,7 @@
 //! a demand-restricted fixpoint may change the work performed but never
 //! the answer. This suite is that contract, executed.
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{QueryResults, Store};
 use sparqlog_datalog::EvalOptions;
 use sparqlog_rdf::Dataset;
 use sparqlog_refengine::FusekiSim;
@@ -55,8 +55,8 @@ fn dataset() -> Dataset {
     Dataset::from_default_graph(sparqlog_rdf::turtle::parse(DATA).unwrap())
 }
 
-fn engine(plan: bool, magic_sets: bool, threads: usize) -> SparqLog {
-    let mut sl = SparqLog::with_options(EvalOptions {
+fn engine(plan: bool, magic_sets: bool, threads: usize) -> Store {
+    let sl = Store::with_options(EvalOptions {
         plan,
         magic_sets,
         threads: Some(threads),
@@ -84,8 +84,8 @@ fn assert_same(a: &QueryResults, b: &QueryResults, ctx: &str) {
 fn every_optimiser_configuration_agrees_with_baseline_and_refengine() {
     let fuseki = FusekiSim::new(dataset());
     for threads in [1, 4] {
-        let mut baseline = engine(false, false, threads);
-        let mut configs = [
+        let baseline = engine(false, false, threads);
+        let configs = [
             ("plan", engine(true, false, threads)),
             ("magic", engine(false, true, threads)),
             ("plan+magic", engine(true, true, threads)),
@@ -98,7 +98,7 @@ fn every_optimiser_configuration_agrees_with_baseline_and_refengine() {
                 &reference,
                 &format!("baseline vs FusekiSim: {q} (threads {threads})"),
             );
-            for (name, sl) in &mut configs {
+            for (name, sl) in &configs {
                 let got = sl.execute(q).unwrap_or_else(|e| panic!("{name} {q}: {e}"));
                 assert_same(&expected, &got, &format!("{name}: {q} (threads {threads})"));
             }
@@ -111,7 +111,6 @@ fn store_level_toggle_is_differential_too() {
     // The same contract through the Store/Snapshot serving path, where
     // plans are cached on the translation: flipping the options on a
     // live store must not change any answer.
-    use sparqlog::Store;
     let planned = Store::with_options(EvalOptions {
         threads: Some(1),
         ..Default::default()
@@ -214,13 +213,13 @@ fn equality_filter_keys_agree_with_baseline_and_refengine() {
             ..Default::default()
         };
         let load = |o: EvalOptions| {
-            let mut sl = SparqLog::with_options(o);
+            let sl = Store::with_options(o);
             sl.load_dataset(&filter_dataset()).unwrap();
             sl
         };
-        let mut baseline = load(options(false, false));
-        let mut planned = load(options(true, false));
-        let mut both = load(options(true, true));
+        let baseline = load(options(false, false));
+        let planned = load(options(true, false));
+        let both = load(options(true, true));
         for (q, _) in FILTER_QUERIES {
             let q = with_prefix(q);
             let expected = baseline.execute(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
@@ -230,7 +229,7 @@ fn equality_filter_keys_agree_with_baseline_and_refengine() {
                 &reference,
                 &format!("vs FusekiSim: {q} (threads {threads})"),
             );
-            for (name, sl) in [("plan", &mut planned), ("plan+magic", &mut both)] {
+            for (name, sl) in [("plan", &planned), ("plan+magic", &both)] {
                 let got = sl.execute(&q).unwrap_or_else(|e| panic!("{name} {q}: {e}"));
                 assert_same(&expected, &got, &format!("{name}: {q} (threads {threads})"));
             }

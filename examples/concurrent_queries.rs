@@ -1,7 +1,6 @@
-//! Concurrent query serving over a frozen snapshot: load once, freeze,
-//! then answer a flood of read-only queries from many threads — the
-//! query-log-shaped workload the mutable single-session engine cannot
-//! serve.
+//! Concurrent query serving over a store snapshot: load once, take a
+//! snapshot, then answer a flood of read-only queries from many threads
+//! — the query-log-shaped workload.
 //!
 //! ```sh
 //! cargo run --example concurrent_queries
@@ -9,10 +8,10 @@
 
 use std::time::Instant;
 
-use sparqlog::SparqLog;
+use sparqlog::Store;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Mutate phase: load a synthetic social graph and materialise.
+    // Load a synthetic social graph and materialise.
     let mut turtle = String::from("@prefix ex: <http://ex.org/> .\n");
     for i in 0..200 {
         turtle.push_str(&format!("ex:p{i} ex:knows ex:p{} .\n", (i + 1) % 200));
@@ -23,15 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             turtle.push_str(&format!("ex:p{i} ex:name \"person {i}\" .\n"));
         }
     }
-    let mut engine = SparqLog::new();
-    engine.load_turtle(&turtle)?;
-    println!(
-        "loaded + materialised: {} facts",
-        engine.database().fact_count()
-    );
+    let store = Store::new();
+    store.load_turtle(&turtle)?;
+    println!("loaded + materialised: {} facts", store.fact_count());
 
-    // Query phase: freeze. From here on everything is `&self`.
-    let frozen = engine.freeze();
+    // Pin one version. Every query entry point takes `&self`.
+    let snapshot = store.snapshot();
 
     // A "query log": a few shapes, many repetitions — the repetitions hit
     // the translation cache and skip the SPARQL→Datalog pipeline.
@@ -49,24 +45,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Serve the whole log as one batch across the worker pool; results
     // come back in input order.
     let t0 = Instant::now();
-    let results = frozen.execute_batch(&log);
+    let results = snapshot.execute_batch(&log);
     let batch_time = t0.elapsed();
     let answered = results.iter().filter(|r| r.is_ok()).count();
     println!(
         "batch: {answered}/{} queries in {batch_time:?} \
          ({} distinct translations cached)",
         log.len(),
-        frozen.cached_translations(),
+        snapshot.cached_translations(),
     );
 
-    // Or serve ad hoc from plain threads — `&frozen` is all they need.
+    // Or serve ad hoc from plain threads — `&snapshot` is all they need.
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..4)
             .map(|k| {
-                let frozen = &frozen;
+                let snapshot = &snapshot;
                 s.spawn(move || {
                     let mine = shapes[k % shapes.len()];
-                    frozen.execute(mine).map(|r| r.len())
+                    snapshot.execute(mine).map(|r| r.len())
                 })
             })
             .collect();
@@ -77,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
 
     // Sanity: the batch answers equal fresh sequential answers.
-    let check = frozen.execute(shapes[1])?;
+    let check = snapshot.execute(shapes[1])?;
     assert_eq!(results[1].as_ref().unwrap(), &check);
     println!("sequential re-check: identical results");
     Ok(())

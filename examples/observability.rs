@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Governor aborts are counted by reason.
-    match store.execute_with_budget(closure, &Budget::new().with_max_rows(1_000)) {
+    let capped = store
+        .snapshot()
+        .with_budget(Budget::new().with_max_rows(1_000));
+    match capped.execute(closure) {
         Err(SparqLogError::Aborted { reason, .. }) => println!("aborted: {reason}"),
         other => println!("unexpectedly {other:?}"),
     }
@@ -76,7 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The per-query profiler: per-stratum rounds, per-round delta
     //    sizes, per-rule timings — the paper's timing breakdowns, live.
-    let (results, profile) = store.snapshot().execute_profiled(closure)?;
+    let snapshot = store.snapshot();
+    let (results, profile) = snapshot.execute_prepared_profiled(&snapshot.prepare(closure)?)?;
     println!("\nclosure: {} rows; profile:", results.len());
     println!("{}", profile.render());
     Ok(())
