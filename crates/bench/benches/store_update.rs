@@ -1,5 +1,6 @@
 //! The snapshot-refresh microbench: committing a small delta through
-//! `Store::writer()` (thaw → mutate → incremental re-freeze) against the
+//! `Store::writer()` (overlay on the installed snapshot → mutate →
+//! freeze, sharing every relation the commit did not write) against the
 //! from-scratch alternative (reload the whole post-update dataset into a
 //! fresh store).
 //!
@@ -7,9 +8,11 @@
 //! recurring shape of the PR 2/3 benches). The incremental cases stage
 //! a 10-triple add/remove delta; the baseline rebuilds everything. The
 //! interesting ratio is `commit_delta_10` vs `full_refreeze`: commit
-//! cost should track the *delta*, not the store size — the thawed
-//! snapshot keeps its per-mask indexes, so untouched predicates never
-//! pay the `2^arity - 1` rebuild.
+//! cost should track the *delta*, not the store size — copy-on-write
+//! copies only the predicates a commit writes, with their per-mask
+//! indexes, so untouched predicates are neither copied nor re-indexed.
+//! The `_pinned` twins hold a snapshot across each commit, as an
+//! in-flight read does; with one commit path they should cost the same.
 
 use sparqlog::{Store, Term};
 use sparqlog_bench::microbench::Bench;
@@ -57,46 +60,52 @@ fn main() {
     // Incremental: one established store absorbs a 10-triple delta per
     // iteration (5 adds + 5 removes of the previous iteration's adds,
     // so the store size stays constant across iterations).
-    let store = Store::with_options(single_threaded());
-    store.load_turtle(&src).unwrap();
-    let mut epoch = 0usize;
-    b.bench("commit_delta_10", || {
-        let mut w = store.writer();
-        for k in 0..5 {
-            w.insert(
-                ex(&format!("fresh{epoch}_{k}")),
-                ex("knows"),
-                ex(&format!("p{}", (epoch * 5 + k) % N)),
-            );
-            if epoch > 0 {
-                w.remove(
-                    ex(&format!("fresh{}_{k}", epoch - 1)),
+    for (name, pinned) in [("commit_delta_10", false), ("commit_delta_10_pinned", true)] {
+        let store = Store::with_options(single_threaded());
+        store.load_turtle(&src).unwrap();
+        let mut epoch = 0usize;
+        b.bench(name, || {
+            let _pin = pinned.then(|| store.snapshot());
+            let mut w = store.writer();
+            for k in 0..5 {
+                w.insert(
+                    ex(&format!("fresh{epoch}_{k}")),
                     ex("knows"),
-                    ex(&format!("p{}", ((epoch - 1) * 5 + k) % N)),
+                    ex(&format!("p{}", (epoch * 5 + k) % N)),
                 );
+                if epoch > 0 {
+                    w.remove(
+                        ex(&format!("fresh{}_{k}", epoch - 1)),
+                        ex("knows"),
+                        ex(&format!("p{}", ((epoch - 1) * 5 + k) % N)),
+                    );
+                }
             }
-        }
-        epoch += 1;
-        w.commit().unwrap()
-    });
+            epoch += 1;
+            w.commit().unwrap()
+        });
+    }
 
     // Pure additions commit on the O(delta) fast path (no removal, no
     // fixpoint): the cheapest write the store serves.
-    let store_add = Store::with_options(single_threaded());
-    store_add.load_turtle(&src).unwrap();
-    let mut i = 0usize;
-    b.bench("commit_add_10", || {
-        let mut w = store_add.writer();
-        for k in 0..10 {
-            w.insert(
-                ex(&format!("add{i}_{k}")),
-                ex("follows"),
-                ex(&format!("p{}", (i * 10 + k) % N)),
-            );
-        }
-        i += 1;
-        w.commit().unwrap()
-    });
+    for (name, pinned) in [("commit_add_10", false), ("commit_add_10_pinned", true)] {
+        let store = Store::with_options(single_threaded());
+        store.load_turtle(&src).unwrap();
+        let mut i = 0usize;
+        b.bench(name, || {
+            let _pin = pinned.then(|| store.snapshot());
+            let mut w = store.writer();
+            for k in 0..10 {
+                w.insert(
+                    ex(&format!("add{i}_{k}")),
+                    ex("follows"),
+                    ex(&format!("p{}", (i * 10 + k) % N)),
+                );
+            }
+            i += 1;
+            w.commit().unwrap()
+        });
+    }
 
     // A SPARQL Update with a WHERE clause: pattern evaluation on the
     // snapshot + template instantiation + commit, end to end.

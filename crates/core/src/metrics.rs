@@ -50,7 +50,7 @@ pub(crate) struct CoreMetrics {
     pub(crate) aborts: Arc<CounterVec>,
     /// Committed write transactions.
     pub(crate) commits: Arc<Counter>,
-    /// Commit latency (thaw → re-freeze), µs.
+    /// Commit latency (overlay → freeze → install), µs.
     pub(crate) commit_duration_us: Arc<Histogram>,
     /// Triples actually added by commits.
     pub(crate) rows_added: Arc<Counter>,
@@ -58,8 +58,9 @@ pub(crate) struct CoreMetrics {
     pub(crate) rows_removed: Arc<Counter>,
     /// Removal commits handled by the incremental DRed maintainer.
     pub(crate) removals_maintained: Arc<Counter>,
-    /// Removal commits that fell back to full re-derivation.
-    pub(crate) removals_fallback: Arc<Counter>,
+    /// Rows copied by commit copy-on-write (the relations a commit
+    /// writes, plus the asserted ledger).
+    pub(crate) rows_copied: Arc<Counter>,
     /// Snapshots re-frozen and installed by commits.
     pub(crate) snapshot_refreshes: Arc<Counter>,
     /// Result deltas delivered to standing-query subscriptions.
@@ -120,7 +121,7 @@ impl CoreMetrics {
             ),
             commit_duration_us: r.histogram(
                 "sparqlog_store_commit_duration_us",
-                "Commit latency (thaw, apply, re-materialise, re-freeze) in microseconds.",
+                "Commit latency (apply, re-materialise, freeze, install) in microseconds.",
                 22,
             ),
             rows_added: r.counter(
@@ -135,9 +136,9 @@ impl CoreMetrics {
                 "sparqlog_store_removals_maintained_total",
                 "Removal commits handled by the incremental DRed maintainer.",
             ),
-            removals_fallback: r.counter(
-                "sparqlog_store_removals_fallback_total",
-                "Removal commits that fell back to full re-derivation.",
+            rows_copied: r.counter(
+                "sparqlog_store_rows_copied_total",
+                "Rows copied by commit copy-on-write: the relations a commit writes, plus the asserted ledger.",
             ),
             snapshot_refreshes: r.counter(
                 "sparqlog_store_snapshot_refreshes_total",

@@ -291,16 +291,6 @@ impl Snapshot {
         self.state.cache.clone()
     }
 
-    /// Reclaims the frozen base and translation cache when this is the
-    /// last handle on the state — the [`Store`](crate::Store) commit
-    /// path's zero-copy branch — else returns the snapshot unchanged.
-    pub(crate) fn try_unwrap(self) -> Result<(Arc<FrozenDb>, Arc<TranslationCache>), Snapshot> {
-        let view = self.view;
-        Arc::try_unwrap(self.state)
-            .map(|s| (s.base, s.cache))
-            .map_err(|state| Snapshot { state, view })
-    }
-
     /// A view of this snapshot whose queries run under `budget` instead
     /// of the store's default budget. The view pins the same version and
     /// shares the translation cache; the snapshot it came from is

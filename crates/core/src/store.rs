@@ -12,14 +12,15 @@
 //!   never blocked and never see partial writes.
 //! * [`Store::writer`] opens a [`Writer`]: a session that stages
 //!   triple-level additions and removals (and `CLEAR`s) and applies
-//!   them atomically on [`Writer::commit`]. The commit *thaws* the
-//!   current frozen snapshot back into a mutable database
-//!   ([`sparqlog_datalog::FrozenDb::thaw`]), applies the delta, brings
-//!   the T_D auxiliary predicates up to date, and re-freezes —
-//!   **incrementally**: per-mask hash indexes of untouched predicates
-//!   are carried through thaw and maintained in place, so a small delta
-//!   never pays the `2^arity - 1` index rebuild of a from-scratch
-//!   freeze.
+//!   them atomically on [`Writer::commit`]. The commit builds the next
+//!   version *beside* the installed one: an overlay on the current
+//!   snapshot ([`sparqlog_datalog::Database::overlay`]) takes the delta
+//!   and brings the T_D auxiliary predicates up to date, and freezing it
+//!   shares every relation the commit did not write with the previous
+//!   version — copy-on-write copies only the predicates written, and
+//!   their per-mask indexes are carried along and maintained in place,
+//!   so a small delta never pays the `2^arity - 1` index rebuild of a
+//!   from-scratch freeze.
 //! * [`Store::update`] executes SPARQL 1.1 Update requests
 //!   (`INSERT DATA`, `DELETE DATA`, `DELETE/INSERT ... WHERE`,
 //!   `CLEAR`) end-to-end: `WHERE` clauses run through the ordinary
@@ -64,16 +65,13 @@
 //! failure: operations commit one by one, and an error leaves the
 //! earlier operations applied.
 //!
-//! Readers holding a [`Snapshot`] are never blocked by a commit. A
-//! commit that finds live snapshots works on a copy while the store
-//! keeps serving the pre-commit version (new [`Store::snapshot`] /
-//! [`Store::execute`] calls proceed immediately); with no snapshot
-//! alive it takes the zero-copy path instead — relations are moved, and
-//! readers arriving mid-commit wait for it. Failure (e.g. an evaluation
-//! timeout) is graceful on the copy path — the pre-commit snapshot
-//! stays installed — but poisons the store on the zero-copy path
-//! (subsequent access panics rather than serving half-updated derived
-//! predicates).
+//! Readers are never blocked by a commit: the state lock is taken only
+//! to read the installed snapshot at commit start and to swap in the new
+//! one at the end, so [`Store::snapshot`] / [`Store::execute`] proceed
+//! throughout, and a [`Snapshot`] keeps serving its own version. A commit
+//! that fails (an evaluation budget abort, say) drops the version it was
+//! building; the pre-commit snapshot stays installed and the store keeps
+//! serving and accepting commits.
 //!
 //! # Ontologies and deletion
 //!
@@ -97,8 +95,8 @@ use std::time::Instant;
 
 use sparqlog_datalog::fxhash::{FxHashMap, FxHashSet};
 use sparqlog_datalog::{
-    evaluate, retract, stage_deletion, Budget, ColumnBatch, Const, Database, EvalOptions, FrozenDb,
-    MaintainError, Mask, Program, Relation, Rule, Sym, SymbolTable, TermId,
+    evaluate, retract, stage_deletion, Budget, ColumnBatch, Const, Database, EvalError,
+    EvalOptions, Mask, Program, Relation, Rule, Sym, SymbolTable, TermId,
 };
 use sparqlog_rdf::{Dataset, Graph, Term};
 use sparqlog_sparql::{
@@ -112,8 +110,6 @@ use crate::query_translation::update_where_query;
 use crate::serving::{PreparedQuery, Snapshot};
 use crate::solution::QueryResults;
 use crate::subscribe::{prefilter, Registry, Subscription, DEFAULT_MAILBOX_CAPACITY};
-
-const POISONED: &str = "store poisoned: a previous commit failed mid-materialisation";
 
 /// Counters reported by a committed write session.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -134,17 +130,16 @@ impl CommitStats {
 }
 
 struct StoreState {
-    /// The serving snapshot. `None` only while a zero-copy commit holds
-    /// the state lock (readers block, never observe it) — or permanently
-    /// after such a commit failed ([`POISONED`]).
-    frozen: Option<Snapshot>,
+    /// The serving snapshot, replaced whole by each successful commit.
+    frozen: Snapshot,
     /// Accumulated ontology rules, re-materialised on every commit.
     ontology: Program,
     /// The asserted ledger: the explicitly written quads, tracked
     /// separately from the (entailment-bearing) `triple` relation from
     /// the first ontology-carrying commit on. `None` while no ontology
     /// has ever been installed — `triple` *is* the asserted set then.
-    /// Only touched under the commit lock.
+    /// Shared with the commit that succeeds it, which copies it on its
+    /// first write.
     asserted: Option<Arc<Relation>>,
     /// Evaluation options for commits and for snapshots created after
     /// the next commit.
@@ -201,7 +196,7 @@ impl Store {
     pub fn with_options(options: EvalOptions) -> Self {
         Store {
             state: RwLock::new(StoreState {
-                frozen: Some(Snapshot::empty(options.clone())),
+                frozen: Snapshot::empty(options.clone()),
                 ontology: Program::new(),
                 asserted: None,
                 options,
@@ -220,13 +215,7 @@ impl Store {
     /// ([`Snapshot::execute`], [`Snapshot::execute_batch`], prepared
     /// queries, the translation cache).
     pub fn snapshot(&self) -> Snapshot {
-        self.state
-            .read()
-            .unwrap()
-            .frozen
-            .as_ref()
-            .expect(POISONED)
-            .clone()
+        self.state.read().unwrap().frozen.clone()
     }
 
     /// Opens a write session staging triple-level changes; nothing is
@@ -375,11 +364,13 @@ impl Store {
                             graph: q.graph.clone(),
                         })
                         .collect();
-                    self.apply_locked(&adds, &[], &[])?
+                    self.apply_locked(&adds, &[], &[], Vec::new())?
                 }
-                UpdateOperation::DeleteData(quads) => self.apply_locked(&[], quads, &[])?,
+                UpdateOperation::DeleteData(quads) => {
+                    self.apply_locked(&[], quads, &[], Vec::new())?
+                }
                 UpdateOperation::Clear(target) => {
-                    self.apply_locked(&[], &[], std::slice::from_ref(target))?
+                    self.apply_locked(&[], &[], std::slice::from_ref(target), Vec::new())?
                 }
                 UpdateOperation::DeleteInsert {
                     delete,
@@ -403,12 +394,9 @@ impl Store {
         insert: &[QuadPattern],
         pattern: sparqlog_sparql::GraphPattern,
     ) -> Result<CommitStats, SparqLogError> {
-        // The snapshot is dropped before the commit below, so that commit
-        // may still take the zero-copy path.
-        let result = {
-            let snapshot = self.snapshot();
-            snapshot.execute_prepared(&snapshot.prepare_query(update_where_query(pattern))?)?
-        };
+        let snapshot = self.snapshot();
+        let result =
+            snapshot.execute_prepared(&snapshot.prepare_query(update_where_query(pattern))?)?;
         let Some(solutions) = result.solutions() else {
             return Ok(CommitStats::default());
         };
@@ -432,7 +420,7 @@ impl Store {
                 }
             }
         }
-        self.apply_locked(&adds, &removes, &[])
+        self.apply_locked(&adds, &removes, &[], Vec::new())
     }
 
     /// Stages and commits a Turtle document into the default graph.
@@ -478,16 +466,12 @@ impl Store {
     }
 
     /// Adds ontology axioms and re-materialises; queries against
-    /// snapshots taken afterwards see the entailed triples.
+    /// snapshots taken afterwards see the entailed triples. The axioms
+    /// take effect only if the commit succeeds.
     pub fn add_ontology(&self, onto: &Ontology) -> Result<CommitStats, SparqLogError> {
         let _serial = self.commit_lock.lock().unwrap();
-        {
-            let mut state = self.state.write().unwrap();
-            let symbols = state.frozen.as_ref().expect(POISONED).symbols().clone();
-            let prog = onto.to_program(&symbols);
-            state.ontology.rules.extend(prog.rules);
-        }
-        self.apply_locked(&[], &[], &[])
+        let rules = onto.to_program(&self.symbols()).rules;
+        self.apply_locked(&[], &[], &[], rules)
     }
 
     /// Total number of facts (triples plus auxiliary and derived
@@ -538,13 +522,12 @@ impl Store {
     /// cache (and its cached plans) is store-lifetime and carries over.
     pub fn set_options(&self, options: EvalOptions) {
         let mut state = self.state.write().unwrap();
+        state.frozen = Snapshot::new(
+            state.frozen.database().clone(),
+            options.clone(),
+            state.frozen.cache_handle(),
+        );
         state.options = options;
-        let current = state.frozen.as_ref().expect(POISONED);
-        state.frozen = Some(Snapshot::new(
-            current.database().clone(),
-            state.options.clone(),
-            current.cache_handle(),
-        ));
     }
 
     /// [`Store::apply_locked`] behind the commit lock — the entry point
@@ -556,61 +539,44 @@ impl Store {
         clears: &[ClearTarget],
     ) -> Result<CommitStats, SparqLogError> {
         let _serial = self.commit_lock.lock().unwrap();
-        self.apply_locked(adds, removes, clears)
+        self.apply_locked(adds, removes, clears, Vec::new())
     }
 
-    /// Applies a staged delta: thaw the current snapshot, mutate,
-    /// re-materialise the auxiliary predicates, re-freeze incrementally.
-    /// Caller holds the commit lock (which serialises writers); the
-    /// state lock is only held across the heavy phase on the zero-copy
-    /// path (see below).
+    /// Applies a staged delta (plus `new_rules`, ontology rules to
+    /// install with it): build the next version as an overlay on the
+    /// installed snapshot, re-materialise the auxiliary predicates,
+    /// freeze, and swap it in. Caller holds the commit lock (which
+    /// serialises writers); the state lock is taken only to read the
+    /// installed version and to install the new one, so an error simply
+    /// drops the overlay and leaves the installed version serving.
     fn apply_locked(
         &self,
         adds: &[GroundQuad],
         removes: &[GroundQuad],
         clears: &[ClearTarget],
+        new_rules: Vec<Rule>,
     ) -> Result<CommitStats, SparqLogError> {
         let commit_start = Instant::now();
-        let mut state = self.state.write().unwrap();
-        let options = state.options.clone();
-        let ontology_rules: Vec<Rule> = state.ontology.rules.clone();
-        let current = state.frozen.take().expect(POISONED);
-
-        // Reclaim the snapshot. When no snapshot handle is alive the
-        // wrapper and then the FrozenDb unwrap uniquely and the
-        // relations are *moved* into the mutable database, indexes and
-        // all — zero copy, but the state lock stays held for the whole
-        // commit (readers arriving mid-commit block; none existed at
-        // commit start). When live snapshots force the copy path, the
-        // old snapshot is put straight back and the state lock released:
-        // readers keep being served the pre-commit version while the
-        // commit works on the copy, and a failed commit leaves the store
-        // untouched instead of poisoned.
-        let (base, cache, asserted, held_state) = match current.try_unwrap() {
-            Ok((base, cache)) => {
-                let asserted = state.asserted.take();
-                (base, cache, asserted, Some(state))
-            }
-            Err(shared) => {
-                let base = shared.database().clone();
-                let cache = shared.cache_handle();
-                let asserted = state.asserted.clone();
-                state.frozen = Some(shared);
-                drop(state);
-                (base, cache, asserted, None)
-            }
+        let (base, cache, options, mut ontology, mut asserted) = {
+            let state = self.state.read().unwrap();
+            (
+                state.frozen.database().clone(),
+                state.frozen.cache_handle(),
+                state.options.clone(),
+                state.ontology.clone(),
+                state.asserted.clone(),
+            )
         };
-        // The asserted ledger follows the same two paths: moved out on
-        // the zero-copy path, cloned alongside the database on the copy
-        // path (a failed copy-path commit leaves the installed ledger
-        // untouched).
-        let mut asserted: Option<Relation> =
-            asserted.map(|a| Arc::try_unwrap(a).unwrap_or_else(|shared| shared.clone_for_write()));
+        let rules_changed = !new_rules.is_empty();
+        ontology.rules.extend(new_rules);
         // Carry the outgoing snapshot's statistics (if any query
-        // collected them) across the commit: the re-frozen snapshot
-        // re-scans only the relations whose row counts changed.
+        // collected them) across the commit: the new snapshot re-scans
+        // only the relations whose row counts changed.
         let prev_stats = base.stats_if_ready();
-        let mut db = FrozenDb::thaw(base);
+        // Copy-on-write: the overlay copies a relation of the installed
+        // version on its first write; everything else stays shared.
+        let mut db = Database::overlay(base);
+        let mut ledger_copied = 0usize;
         let symbols = db.symbols().clone();
         let dict = db.dict().clone();
 
@@ -641,18 +607,20 @@ impl Store {
         let mut stats = CommitStats::default();
 
         let mut program = base_program(&symbols);
-        let has_ontology = !ontology_rules.is_empty();
-        program.rules.extend(ontology_rules);
+        let has_ontology = !ontology.rules.is_empty();
+        program.rules.extend(ontology.rules.iter().cloned());
 
         // Start the asserted ledger at the first ontology-bearing
         // commit: from here on `triple` also carries entailed rows, so
         // the assertions need their own record for deletes to maintain
         // against. (At this point `triple` still holds assertions only.)
         if has_ontology && asserted.is_none() {
-            asserted = Some(match db.relation(triple_p) {
+            let ledger = match db.relation(triple_p) {
                 Some(rel) => rel.clone_for_write(),
                 None => Relation::new(),
-            });
+            };
+            ledger_copied += ledger.len();
+            asserted = Some(Arc::new(ledger));
         }
 
         // ------------------------------------------------ removals
@@ -681,7 +649,7 @@ impl Store {
                     }
                 }
             }
-            let view: &Relation = match asserted.as_ref() {
+            let view: &Relation = match &asserted {
                 Some(ledger) => ledger,
                 None => db.relation(triple_p).expect("checked above"),
             };
@@ -719,10 +687,6 @@ impl Store {
         let mut changed_preds: FxHashSet<TermId> = FxHashSet::default();
         let mut exact_delta = true;
 
-        // `true` once the DRed maintainer has brought every derived
-        // predicate (and the entailed triples) up to date for the
-        // removals; `false` routes to the full re-derivation fallback.
-        let mut maintained = false;
         if has_removals {
             let removed_set: FxHashSet<[TermId; 4]> = removed_rows.iter().copied().collect();
             let removed_vecs: FxHashSet<Vec<TermId>> =
@@ -732,7 +696,7 @@ impl Store {
             // set, so a deleted assertion no longer supports itself.
             // Targeted removal — the ledger never pays a full rebuild.
             if let Some(ledger) = asserted.as_mut() {
-                ledger.remove_rows(&removed_vecs);
+                ledger_mut(ledger, &mut ledger_copied).remove_rows(&removed_vecs);
             }
 
             // Stage the deletion seeds: the removed quads themselves,
@@ -756,7 +720,7 @@ impl Store {
                 // Post-removal asserted view: the retained ledger, or —
                 // without an ontology — the still-uncompacted `triple`
                 // relation minus the removed set.
-                let view: &Relation = match asserted.as_ref() {
+                let view: &Relation = match &asserted {
                     Some(ledger) => ledger,
                     None => db.relation(triple_p).expect("seeds exist"),
                 };
@@ -791,70 +755,19 @@ impl Store {
             // while it remains in the asserted ledger (it may *also* be
             // entailed); everything else lives and dies by the rules.
             let empty = Relation::new();
-            let (track, ledger): (bool, &Relation) = match asserted.as_ref() {
+            let (track, ledger): (bool, &Relation) = match &asserted {
                 Some(ledger) => (true, ledger),
                 None => (false, &empty),
             };
             let support =
                 |pred: Sym, row: &[TermId]| track && pred == triple_p && ledger.contains(row);
-            match retract(&program, &mut db, &deleted, &support) {
-                Ok(retraction) => {
-                    maintained = true;
-                    if let Some(rows) = retraction.removed.get(&triple_p) {
-                        changed_preds.extend(rows.iter().map(|r| r[1]));
-                    }
-                }
-                Err(MaintainError::Unsupported(_)) => {
-                    exact_delta = false;
-                    // The program has a shape the maintainer does not
-                    // handle: fall back to rebuilding `triple` from the
-                    // assertions and re-deriving everything below.
-                    match asserted.as_ref() {
-                        Some(ledger) => {
-                            adopt(&mut db, triple_p, ledger.clone_for_write());
-                        }
-                        None => {
-                            db.relation_mut(triple_p).remove_rows(&removed_vecs);
-                        }
-                    }
-                    // Refilter the load-time class and named-graph facts
-                    // against the surviving assertions (membership in
-                    // the old class relation is the classifier, so a
-                    // term without a class fact can never gain one).
-                    let mut new_iri = Relation::new();
-                    let mut new_literal = Relation::new();
-                    let mut new_bnode = Relation::new();
-                    let mut new_named = Relation::new();
-                    if let Some(rel) = db.relation(triple_p) {
-                        let old_iri = db.relation(iri_p);
-                        let old_bnode = db.relation(bnode_p);
-                        let old_literal = db.relation(literal_p);
-                        let in_class =
-                            |r: Option<&Relation>, id: TermId| r.is_some_and(|r| r.contains(&[id]));
-                        for row in rel.iter() {
-                            for &id in &row[..3] {
-                                if in_class(old_iri, id) {
-                                    new_iri.insert(&[id]);
-                                } else if in_class(old_bnode, id) {
-                                    new_bnode.insert(&[id]);
-                                } else if in_class(old_literal, id) {
-                                    new_literal.insert(&[id]);
-                                }
-                            }
-                            if row[3] != default_graph {
-                                new_named.insert(&[row[3]]);
-                            }
-                        }
-                    }
-                    for (pred, fresh) in [
-                        (iri_p, new_iri),
-                        (literal_p, new_literal),
-                        (bnode_p, new_bnode),
-                        (named_p, new_named),
-                    ] {
-                        adopt(&mut db, pred, fresh);
-                    }
-                }
+            // The store's programs (T_D plus ontology axioms) are plain
+            // positive rules, which the maintainer always accepts.
+            let retraction = retract(&program, &mut db, &deleted, &support).map_err(|e| {
+                SparqLogError::Eval(EvalError::Internal(format!("commit maintenance: {e}")))
+            })?;
+            if let Some(rows) = retraction.removed.get(&triple_p) {
+                changed_preds.extend(rows.iter().map(|r| r[1]));
             }
         }
 
@@ -865,15 +778,20 @@ impl Store {
         // gain class facts), even though it is already visible.
         let mut fresh_terms: Vec<(TermId, Sym)> = Vec::new();
         let mut fresh_triples: Vec<[TermId; 4]> = Vec::new();
+        // Inserts go through `add_fact_ids`, which rejects a row the
+        // installed version already holds without copying its relation.
         for q in adds {
             let row = encode_quad(q);
             let fresh = match asserted.as_mut() {
                 Some(ledger) => {
-                    let fresh = ledger.insert(&row);
-                    db.relation_mut(triple_p).insert(&row);
+                    let fresh = !ledger.contains(&row);
+                    if fresh {
+                        ledger_mut(ledger, &mut ledger_copied).insert(&row);
+                    }
+                    db.add_fact_ids(triple_p, &row);
                     fresh
                 }
-                None => db.relation_mut(triple_p).insert(&row),
+                None => db.add_fact_ids(triple_p, &row),
             };
             if !fresh {
                 continue;
@@ -890,12 +808,12 @@ impl Store {
                     Term::BlankNode(_) => bnode_p,
                     Term::Literal(_) => literal_p,
                 };
-                if db.relation_mut(class).insert(&[id]) {
+                if db.add_fact_ids(class, &[id]) {
                     fresh_terms.push((id, class));
                 }
             }
             if q.graph.is_some() {
-                db.relation_mut(named_p).insert(&[row[3]]);
+                db.add_fact_ids(named_p, &[row[3]]);
             }
         }
 
@@ -904,103 +822,64 @@ impl Store {
         }
 
         // ------------------------------------ auxiliary predicates
-        let evaluated = if has_removals && !maintained {
-            // Fallback exact re-derivation: take the derived relations
-            // out, re-run the rules from the surviving facts, and swap
-            // the old relation back in wherever the content is unchanged
-            // so its indexes survive.
-            let mut derived: Vec<Sym> = program
-                .rules
-                .iter()
-                .map(|r| r.head.pred)
-                .chain(program.facts.iter().map(|(p, _)| *p))
-                .filter(|&p| p != triple_p)
-                .collect();
-            derived.sort_unstable();
-            derived.dedup();
-            let olds: Vec<(Sym, Relation)> = derived
-                .iter()
-                .filter_map(|&p| db.take_relation(p).map(|r| (p, r)))
-                .collect();
-            let result = evaluate(&program, &mut db, &options);
-            for (pred, old) in olds {
-                if db.relation(pred).is_some_and(|new| old.content_eq(new)) {
-                    db.set_relation(pred, old);
-                }
-            }
-            result
-        } else if !has_ontology {
-            // Additions without ontology rules (removals, if any, are
-            // already maintained): the auxiliary rules are non-recursive
-            // over their sources, so their consequences are computed
-            // directly from the delta — O(|delta|), no fixpoint pass
-            // over the full store.
+        if !has_ontology {
+            // Without ontology rules (removals, if any, are already
+            // maintained): the auxiliary rules are non-recursive over
+            // their sources, so their consequences are computed directly
+            // from the delta — O(|delta|), no fixpoint pass over the
+            // full store.
             let null_id = dict.encode(&Const::Null);
-            db.relation_mut(null_p).insert(&[null_id]);
-            db.relation_mut(comp_p).insert(&[null_id, null_id, null_id]);
+            db.add_fact_ids(null_p, &[null_id]);
+            db.add_fact_ids(comp_p, &[null_id, null_id, null_id]);
             for &(id, _class) in &fresh_terms {
-                if db.relation_mut(term_p).insert(&[id]) {
-                    let comp = db.relation_mut(comp_p);
-                    comp.insert(&[id, id, id]);
-                    comp.insert(&[id, null_id, id]);
-                    comp.insert(&[null_id, id, id]);
+                if db.add_fact_ids(term_p, &[id]) {
+                    db.add_fact_ids(comp_p, &[id, id, id]);
+                    db.add_fact_ids(comp_p, &[id, null_id, id]);
+                    db.add_fact_ids(comp_p, &[null_id, id, id]);
                 }
             }
             for row in &fresh_triples {
-                let soo = db.relation_mut(soo_p);
-                soo.insert(&[row[0], row[3]]);
-                soo.insert(&[row[2], row[3]]);
+                db.add_fact_ids(soo_p, &[row[0], row[3]]);
+                db.add_fact_ids(soo_p, &[row[2], row[3]]);
             }
-            Ok(Default::default())
-        } else if maintained && adds.is_empty() {
-            // Maintained removals with nothing added: the DRed pass left
-            // the store exactly fresh-reload-equivalent — no fixpoint.
-            Ok(Default::default())
-        } else {
-            // Additions with ontology rules (or a fresh ontology
-            // install): materialisation is monotone, so re-running it
-            // only adds the new consequences (existing rows dedup away,
-            // indexes stay maintained).
+        } else if rules_changed || !fresh_triples.is_empty() {
+            // New assertions or new rules under an ontology:
+            // materialisation is monotone, so re-running it only adds
+            // the new consequences (existing rows dedup away, indexes
+            // stay maintained). Without either, the DRed pass above (if
+            // any) already left the store fresh-reload-equivalent.
             exact_delta = false;
-            evaluate(&program, &mut db, &options)
-        };
-        if let Err(e) = evaluated {
-            // Derived predicates may be half-updated: drop the mutated
-            // copy. On the copy path the pre-commit snapshot is still
-            // installed and the store keeps serving it; on the zero-copy
-            // path there is nothing to fall back to — the store is
-            // poisoned (`frozen` stays `None`).
-            return Err(e.into());
+            evaluate(&program, &mut db, &options)?;
         }
 
-        // ------------------------------------------------ re-freeze
-        // Freezing is profile-guided: besides promoting the indexes the
-        // snapshot already carries (eager on untouched relations, lazily
-        // probed ones on the rest), the masks named by the plans of
-        // currently cached queries are built eagerly, so hot query
-        // shapes never fall back to lazy index construction after a
-        // commit. The translation cache is threaded through:
-        // translations (and their cached plans, until statistics drift)
-        // are data-independent, so hot query shapes stay warm.
+        // ------------------------------------------------------ freeze
+        // Freezing shares every relation the commit did not write with
+        // the installed version and keeps the indexes of the ones it
+        // did; the masks named by the plans of currently cached queries
+        // are built too, so hot query shapes never fall back to lazy
+        // index construction after a commit. The translation cache is
+        // threaded through: translations (and their cached plans, until
+        // statistics drift) are data-independent, so hot query shapes
+        // stay warm.
+        let rows_copied = db.rows_copied() + ledger_copied;
         let needs = cache.live_index_needs();
         let snapshot = db.freeze_with_needs(&needs);
         if let Some(prev) = &prev_stats {
             snapshot.warm_stats_from(prev);
         }
-        let new_frozen = Snapshot::new(snapshot, options, cache);
-        let notify_snapshot = new_frozen.clone();
-        let new_asserted = asserted.map(Arc::new);
-        match held_state {
-            Some(mut state) => {
-                state.frozen = Some(new_frozen);
-                state.asserted = new_asserted;
-            }
-            None => {
-                let mut state = self.state.write().unwrap();
-                state.frozen = Some(new_frozen);
-                state.asserted = new_asserted;
-            }
-        }
+        let (notify_snapshot, previous) = {
+            let mut state = self.state.write().unwrap();
+            let installed = Snapshot::new(snapshot, state.options.clone(), cache);
+            let previous = (
+                std::mem::replace(&mut state.frozen, installed.clone()),
+                std::mem::replace(&mut state.asserted, asserted),
+            );
+            state.ontology = ontology;
+            (installed, previous)
+        };
+        // Free the replaced version (the relations and ledger this commit
+        // copied, unless a reader still holds them) outside the state lock.
+        drop(previous);
 
         // ------------------------------------------- subscriptions
         // The snapshot is installed; fan the commit out to standing
@@ -1026,12 +905,9 @@ impl Store {
                 .observe(commit_start.elapsed().as_micros() as u64);
             m.rows_added.add(stats.added as u64);
             m.rows_removed.add(stats.removed as u64);
+            m.rows_copied.add(rows_copied as u64);
             if has_removals {
-                if maintained {
-                    m.removals_maintained.inc();
-                } else {
-                    m.removals_fallback.inc();
-                }
+                m.removals_maintained.inc();
             }
             m.snapshot_refreshes.inc();
         }
@@ -1057,15 +933,15 @@ impl std::fmt::Debug for Store {
     }
 }
 
-/// Replaces `pred`'s relation with `fresh` — unless the old relation has
-/// identical content, in which case it is kept so its already-built
-/// indexes are reused by the re-freeze.
-fn adopt(db: &mut Database, pred: Sym, fresh: Relation) {
-    match db.take_relation(pred) {
-        Some(old) if old.content_eq(&fresh) => db.set_relation(pred, old),
-        _ if fresh.is_empty() => {}
-        _ => db.set_relation(pred, fresh),
+/// Copy-on-write access to the asserted ledger: the installed version
+/// is shared with the store state, so a commit's first write copies it
+/// (its rows are added to `copied`).
+fn ledger_mut<'a>(ledger: &'a mut Arc<Relation>, copied: &mut usize) -> &'a mut Relation {
+    if Arc::get_mut(ledger).is_none() {
+        *copied += ledger.len();
+        *ledger = Arc::new(ledger.clone_for_write());
     }
+    Arc::get_mut(ledger).expect("a fresh copy is unshared")
 }
 
 /// Instantiates a quad template under one solution. `fresh` is the
@@ -1737,6 +1613,87 @@ mod tests {
             after_first,
             "repeated no-op commit leaves the snapshot content-identical"
         );
+    }
+
+    #[test]
+    fn no_op_commits_copy_nothing() {
+        let store = borders_store();
+        let reg = store.metrics();
+        let copied = || reg.counter_value("sparqlog_store_rows_copied_total");
+        assert_eq!(copied(), Some(0), "the first load lands on an empty base");
+        let _pin = store.snapshot();
+        store
+            .update("PREFIX ex: <http://ex.org/> DELETE DATA { ex:spain ex:borders ex:narnia }")
+            .unwrap();
+        store
+            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:spain ex:borders ex:france }")
+            .unwrap();
+        assert_eq!(
+            copied(),
+            Some(0),
+            "absent delete and duplicate add copy nothing"
+        );
+    }
+
+    #[test]
+    fn small_add_copies_only_the_relations_it_writes() {
+        let store = borders_store();
+        let reg = store.metrics();
+        let pin = store.snapshot();
+        let db = pin.database();
+        let triple_p = db.symbols().get(preds::TRIPLE).unwrap();
+        let comp_p = db.symbols().get(preds::COMP).unwrap();
+        let triples = db.relation(triple_p).unwrap().len();
+        // Every term is known: only `triple` gains a row.
+        store
+            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:spain ex:borders ex:germany }")
+            .unwrap();
+        let copied = reg
+            .counter_value("sparqlog_store_rows_copied_total")
+            .unwrap();
+        assert_eq!(copied as usize, triples, "only `triple` was copied");
+        assert!((copied as usize) < pin.fact_count());
+        let after = store.snapshot();
+        assert!(
+            std::ptr::eq(
+                after.database().relation(comp_p).unwrap(),
+                db.relation(comp_p).unwrap()
+            ),
+            "`comp` is shared with the pinned version, not copied"
+        );
+        assert_eq!(
+            after.database().relation(triple_p).unwrap().len(),
+            triples + 1
+        );
+        assert_eq!(
+            db.relation(triple_p).unwrap().len(),
+            triples,
+            "pin unchanged"
+        );
+    }
+
+    #[test]
+    fn maintainer_accepts_every_store_program() {
+        // Removal commits run DRed on `base_program` plus the ontology
+        // rules; every axiom shape must stay inside what `retract`
+        // maintains, or removals under that ontology would fail.
+        let symbols = SymbolTable::new();
+        let onto = crate::Ontology::new()
+            .with(crate::Axiom::SubClassOf("c1".into(), "c2".into()))
+            .with(crate::Axiom::SubPropertyOf("p1".into(), "p2".into()))
+            .with(crate::Axiom::Domain("p".into(), "c".into()))
+            .with(crate::Axiom::Range("p".into(), "c".into()))
+            .with(crate::Axiom::InverseOf("p1".into(), "p2".into()))
+            .with(crate::Axiom::SomeValuesFrom {
+                class: "c".into(),
+                property: "p".into(),
+                filler: "f".into(),
+            });
+        let mut program = base_program(&symbols);
+        program.rules.extend(onto.to_program(&symbols).rules);
+        let mut db = Database::with_symbols(symbols);
+        retract(&program, &mut db, &FxHashMap::default(), &|_, _| false)
+            .expect("the maintainer accepts every store program");
     }
 
     #[test]

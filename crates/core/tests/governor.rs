@@ -4,11 +4,15 @@
 //! containment, and — the critical property —
 //! that a storm of aborted queries leaves no shared-state corruption
 //! behind: the same snapshot then answers every query byte-identically
-//! to an uncancelled run.
+//! to an uncancelled run. Commits aborted by the store's default budget
+//! leave the pre-commit version serving, with or without a live reader.
 
 use std::time::{Duration, Instant};
 
-use sparqlog::{AbortReason, Budget, CancelToken, QueryResults, SparqLogError, Store};
+use sparqlog::{
+    AbortReason, Axiom, Budget, CancelToken, CommitStats, Ontology, QueryResults, SparqLogError,
+    Store, Term,
+};
 
 /// A ring with shortcuts: recursive property paths over it derive the
 /// full closure, expensive enough that a 1 ms deadline always interrupts.
@@ -336,4 +340,144 @@ fn budget_view_pins_its_version() {
     assert_eq!(view.database().content_signature(), signature);
     assert_eq!(view.execute(q).unwrap(), before);
     assert_eq!(store.execute(q).unwrap().len(), before.len() + 1);
+}
+
+// ------------------------------------------------------ commit faults
+
+const EX: &str = "http://ex.org/";
+
+/// Four asserted triples, no ontology.
+fn students() -> Store {
+    let store = Store::new();
+    store
+        .load_turtle(
+            r#"@prefix ex: <http://ex.org/> .
+               ex:alice a ex:Student ; ex:knows ex:bob .
+               ex:bob a ex:Student ; ex:name "Bob" ."#,
+        )
+        .unwrap();
+    store
+}
+
+fn student_is_person() -> Ontology {
+    Ontology::new().with(Axiom::SubClassOf(
+        format!("{EX}Student"),
+        format!("{EX}Person"),
+    ))
+}
+
+/// [`students`] with the subclass axiom installed.
+fn ontology_store() -> Store {
+    let store = students();
+    store.add_ontology(&student_is_person()).unwrap();
+    store
+}
+
+fn add_carol(store: &Store) -> Result<CommitStats, SparqLogError> {
+    let mut w = store.writer();
+    w.insert(
+        Term::iri(format!("{EX}carol")),
+        Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
+        Term::iri(format!("{EX}Student")),
+    );
+    w.commit()
+}
+
+fn ask(store: &Store, query: &str) -> bool {
+    let unlimited = store.snapshot().with_budget(Budget::new());
+    unlimited.execute(query).unwrap() == QueryResults::Boolean(true)
+}
+
+/// Runs `commit` with `budget` as the store default — once with no
+/// snapshot alive, once with one pinned — and checks that it aborts,
+/// that the store then serves the exact pre-commit version, and that the
+/// same commit succeeds once the budget is lifted (`landed` then holds).
+fn assert_aborted_commit_leaves_store_serving(
+    setup: fn() -> Store,
+    budget: fn() -> Budget,
+    commit: fn(&Store) -> Result<CommitStats, SparqLogError>,
+    landed: &str,
+) {
+    for pinned in [false, true] {
+        let store = setup();
+        let before = store.snapshot().database().content_signature();
+        let pin = pinned.then(|| store.snapshot());
+        store.set_default_budget(budget());
+        let err = commit(&store).unwrap_err();
+        assert!(
+            matches!(err, SparqLogError::Aborted { .. }),
+            "pinned={pinned}: got {err:?}"
+        );
+        assert_eq!(
+            store.snapshot().database().content_signature(),
+            before,
+            "pinned={pinned}: the pre-commit version stays installed"
+        );
+        assert!(!ask(&store, landed), "pinned={pinned}: nothing landed");
+        if let Some(pin) = &pin {
+            assert_eq!(pin.database().content_signature(), before);
+        }
+        store.set_default_budget(Budget::new());
+        commit(&store).unwrap();
+        assert!(ask(&store, landed), "pinned={pinned}: the retry landed");
+    }
+}
+
+fn one_row() -> Budget {
+    Budget::new().with_max_rows(1)
+}
+
+fn pre_cancelled() -> Budget {
+    let token = CancelToken::new();
+    token.cancel();
+    Budget::new().with_cancel(token)
+}
+
+const ALICE_IS_PERSON: &str = "PREFIX ex: <http://ex.org/> ASK { ex:alice a ex:Person }";
+const CAROL_IS_PERSON: &str = "PREFIX ex: <http://ex.org/> ASK { ex:carol a ex:Person }";
+
+/// The ontology install that used to brick the store: under a 1-row
+/// default budget it aborts, and every later `snapshot()` must serve.
+#[test]
+fn row_capped_ontology_install_leaves_store_serving() {
+    assert_aborted_commit_leaves_store_serving(
+        students,
+        one_row,
+        |s| s.add_ontology(&student_is_person()),
+        ALICE_IS_PERSON,
+    );
+}
+
+#[test]
+fn row_capped_commit_into_ontology_store_leaves_store_serving() {
+    assert_aborted_commit_leaves_store_serving(ontology_store, one_row, add_carol, CAROL_IS_PERSON);
+}
+
+#[test]
+fn cancelled_commits_leave_store_serving() {
+    assert_aborted_commit_leaves_store_serving(
+        students,
+        pre_cancelled,
+        |s| s.add_ontology(&student_is_person()),
+        ALICE_IS_PERSON,
+    );
+    assert_aborted_commit_leaves_store_serving(
+        ontology_store,
+        pre_cancelled,
+        add_carol,
+        CAROL_IS_PERSON,
+    );
+}
+
+/// A failed ontology install does not half-install its axioms: a later
+/// unrelated commit still runs without them.
+#[test]
+fn aborted_ontology_install_is_not_materialised_later() {
+    let store = students();
+    store.set_default_budget(one_row());
+    assert!(store.add_ontology(&student_is_person()).is_err());
+    store.set_default_budget(Budget::new());
+    add_carol(&store).unwrap();
+    assert!(!ask(&store, ALICE_IS_PERSON));
+    assert!(!ask(&store, CAROL_IS_PERSON));
 }

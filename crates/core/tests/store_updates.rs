@@ -11,7 +11,8 @@
 //!   holds exactly the same facts (via `FrozenDb::content_signature`)
 //!   as a from-scratch `freeze()` of the same data, and every eager
 //!   index either snapshot carries is complete and current — the
-//!   thaw/re-freeze path neither loses rows nor leaves an index stale.
+//!   overlay/copy-on-write commit path neither loses rows nor leaves an
+//!   index stale.
 //!   (Index *sets* are compared for integrity, not identity: freezing
 //!   is profile-guided, so which masks are eager depends on probe
 //!   history, which legitimately differs between an incrementally
@@ -209,8 +210,8 @@ fn every_commit_along_the_script_stays_fresh_equivalent() {
 
 #[test]
 fn commit_under_live_snapshots_is_equivalent_to_unique_commit() {
-    // The thaw path forks: unique handles are moved, shared ones are
-    // copied. Both must produce identical snapshots.
+    // Live readers must not change what a commit produces: committing
+    // with every prior version pinned yields the same snapshot.
     let unique = store_at(1);
 
     let shared = Store::with_options(EvalOptions {
@@ -220,7 +221,7 @@ fn commit_under_live_snapshots_is_equivalent_to_unique_commit() {
     shared.load_turtle(FIXTURE).unwrap();
     let mut pins = Vec::new();
     for step in SCRIPT {
-        pins.push(shared.snapshot()); // force the clone path on every commit
+        pins.push(shared.snapshot()); // pin every prior version
         shared.update(step).unwrap();
     }
     assert_signatures_equivalent(

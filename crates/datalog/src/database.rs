@@ -697,31 +697,26 @@ impl Relation {
         }
     }
 
-    /// True when `self` and `other` hold exactly the same tuple set.
-    /// Both relations are deduplicated sets, so equal lengths plus
-    /// containment one way is full equality. Indexes are irrelevant —
-    /// this compares *content* (the incremental re-freeze uses it to
-    /// decide whether a recomputed relation can be swapped for the old
-    /// one, keeping the old one's already-built indexes).
-    pub fn content_eq(&self, other: &Relation) -> bool {
-        self.len == other.len
-            && (self.len == 0 || self.arity == other.arity)
-            && other.iter().all(|t| self.contains(t))
-    }
-
     /// A deep copy suitable for independent mutation: rows, dedup tables
-    /// and eager indexes are cloned; the lazy-index map starts empty (a
-    /// copy-on-write overlay rebuilds unplanned indexes on demand rather
-    /// than inheriting latches). Used when an overlay database first
-    /// writes to a predicate that lives in its frozen base.
+    /// and eager indexes are cloned, and every already-built lazy index
+    /// is carried over as an eager one (the copy is about to be written
+    /// and re-frozen, which would promote it anyway); the copy inherits
+    /// no latches. Used when an overlay database first writes to a
+    /// predicate that lives in its frozen base.
     pub fn clone_for_write(&self) -> Relation {
+        let mut indexes = self.indexes.clone();
+        for (&mask, cell) in self.lazy.read().unwrap().iter() {
+            if let Some(index) = cell.get() {
+                indexes.entry(mask).or_insert_with(|| index.clone());
+            }
+        }
         Relation {
             arity: self.arity,
             len: self.len,
             rows: self.rows.clone(),
             seen: self.seen.clone(),
             seen_overflow: self.seen_overflow.clone(),
-            indexes: self.indexes.clone(),
+            indexes,
             lazy: RwLock::new(FxHashMap::default()),
         }
     }
@@ -926,7 +921,18 @@ impl Database {
     }
 
     /// Adds an already-encoded fact (the evaluator's internal path).
+    /// On an overlay, a duplicate of a base fact is rejected without
+    /// triggering the copy-on-write of [`Database::relation_mut`].
     pub fn add_fact_ids(&mut self, pred: Sym, tuple: &[TermId]) -> bool {
+        if !self.relations.contains_key(&pred)
+            && self
+                .base
+                .as_ref()
+                .and_then(|b| b.relation(pred))
+                .is_some_and(|r| r.contains(tuple))
+        {
+            return false;
+        }
         self.relation_mut(pred).insert(tuple)
     }
 
@@ -996,7 +1002,8 @@ impl Database {
     /// first copied into the local map (copy-on-write) so inserts dedup
     /// against — and scans keep seeing — the base facts. Translated query
     /// programs never hit the copy: their head predicates are namespaced
-    /// per query and never collide with base predicates.
+    /// per query and never collide with base predicates. A store commit
+    /// copies exactly the predicates it writes ([`Database::rows_copied`]).
     pub fn relation_mut(&mut self, pred: Sym) -> &mut Relation {
         match self.relations.entry(pred) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -1031,21 +1038,18 @@ impl Database {
         self.relations.entry(pred).or_default().ensure_index(mask)
     }
 
-    /// Removes and returns `pred`'s *local* relation (a frozen base, if
-    /// any, is not consulted — the snapshot-refresh path that uses this
-    /// operates on thawed databases, which have no base). The next write
-    /// to `pred` starts from an empty relation.
-    pub fn take_relation(&mut self, pred: Sym) -> Option<Relation> {
-        self.relations.remove(&pred)
-    }
-
-    /// Installs `rel` as `pred`'s relation, replacing any local one.
-    /// Together with [`Database::take_relation`] this lets the
-    /// incremental re-freeze swap a recomputed relation back for the old
-    /// one when their contents turn out equal, keeping the old
-    /// already-built indexes.
-    pub fn set_relation(&mut self, pred: Sym, rel: Relation) {
-        self.relations.insert(pred, rel);
+    /// Rows copied in from the frozen base so far: copy-on-write copies
+    /// a base relation whole on the first write to its predicate, so this
+    /// is the base size of every predicate the overlay has written.
+    pub fn rows_copied(&self) -> usize {
+        let Some(base) = &self.base else {
+            return 0;
+        };
+        self.relations
+            .keys()
+            .filter_map(|&p| base.relation(p))
+            .map(Relation::len)
+            .sum()
     }
 
     /// Iterates over `(predicate, relation)` pairs — local relations
@@ -1203,24 +1207,6 @@ mod tests {
         }
         assert_eq!(r.retain(|_| true), 0);
         assert_eq!(r.len(), 5);
-    }
-
-    #[test]
-    fn content_eq_ignores_order_and_indexes() {
-        let dict = TermDict::new();
-        let mut a = Relation::new();
-        let mut b = Relation::new();
-        for i in 0..10i64 {
-            a.insert(&ids(&dict, &[i, i + 1]));
-        }
-        for i in (0..10i64).rev() {
-            b.insert(&ids(&dict, &[i, i + 1]));
-        }
-        a.ensure_index(0b01);
-        assert!(a.content_eq(&b));
-        assert!(b.content_eq(&a));
-        b.insert(&ids(&dict, &[99, 99]));
-        assert!(!a.content_eq(&b));
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //! The module handles positive, non-aggregate rules — exactly the shape
 //! of the T_D base program and the ontology compilation. Anything else
 //! (negation, conditions, assignments, aggregates, `@post`) returns
-//! [`MaintainError::Unsupported`] and the caller falls back to a full
-//! re-evaluation; incremental maintenance under non-monotone rules is a
-//! different algorithm, not a missing `match` arm.
+//! [`MaintainError::Unsupported`] with the database untouched (the store
+//! fails such a commit); incremental maintenance under non-monotone rules
+//! is a different algorithm, not a missing `match` arm.
 
 use crate::database::{ColumnBatch, Database, Mask};
 use crate::fxhash::{FxHashMap, FxHashSet};

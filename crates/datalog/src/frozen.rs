@@ -10,14 +10,21 @@
 //! passes the union of its plan cache's index needs). Everything else is
 //! built on demand through the thread-safe per-mask `OnceLock` path
 //! ([`Relation::lookup`] and the evaluator's shared-index fallback) and
-//! promoted to a lock-free eager index at the *next* freeze. The snapshot
-//! never mutates otherwise, so every accessor takes `&self` and it is
-//! shared across threads behind one `Arc`.
+//! promoted to a lock-free eager index when a later commit writes the
+//! relation. The snapshot never mutates otherwise, so every accessor
+//! takes `&self` and it is shared across threads behind one `Arc`.
+//!
+//! Relations are held per predicate behind an `Arc`, so successive
+//! snapshots share every relation a commit did not write: a commit is an
+//! overlay on the installed snapshot ([`Database::overlay`]) whose
+//! copy-on-write copies only the predicates it writes, and freezing it
+//! shares the rest ([`Database::freeze_with_needs`]). The installed
+//! snapshot is never touched, so a failed commit just drops its overlay.
 //!
 //! A snapshot also memoises its relation statistics ([`FrozenDb::stats`])
 //! — the input of the cost-based planner ([`crate::plan`]) — collected
-//! once on first use and warmed incrementally across the thaw/re-freeze
-//! commit path ([`FrozenDb::warm_stats_from`]).
+//! once on first use and warmed incrementally from the predecessor at
+//! commit time ([`FrozenDb::warm_stats_from`]).
 //!
 //! Queries evaluate against a snapshot through an *overlay*
 //! ([`Database::overlay`]): a fresh, initially empty database sharing the
@@ -57,7 +64,9 @@ pub const FULL_INDEX_MAX_ARITY: usize = 4;
 pub struct FrozenDb {
     symbols: Arc<SymbolTable>,
     dict: Arc<TermDict>,
-    relations: FxHashMap<Sym, Relation>,
+    /// One shared relation per predicate: a successor snapshot shares
+    /// every relation its commit did not write.
+    relations: FxHashMap<Sym, Arc<Relation>>,
     facts: usize,
     /// Planner statistics, collected once per snapshot on first use (or
     /// warmed from a predecessor at commit time).
@@ -68,9 +77,9 @@ impl FrozenDb {
     pub(crate) fn new(
         symbols: Arc<SymbolTable>,
         dict: Arc<TermDict>,
-        relations: FxHashMap<Sym, Relation>,
+        relations: FxHashMap<Sym, Arc<Relation>>,
     ) -> Self {
-        let facts = relations.values().map(Relation::len).sum();
+        let facts = relations.values().map(|r| r.len()).sum();
         FrozenDb {
             symbols,
             dict,
@@ -92,12 +101,12 @@ impl FrozenDb {
 
     /// The frozen relation for `pred`, if any facts exist.
     pub fn relation(&self, pred: Sym) -> Option<&Relation> {
-        self.relations.get(&pred)
+        self.relations.get(&pred).map(|r| &**r)
     }
 
     /// Iterates over `(predicate, relation)` pairs of the snapshot.
     pub fn relations(&self) -> impl Iterator<Item = (Sym, &Relation)> + '_ {
-        self.relations.iter().map(|(&p, r)| (p, r))
+        self.relations.iter().map(|(&p, r)| (p, &**r))
     }
 
     /// Total number of facts in the snapshot.
@@ -131,42 +140,6 @@ impl FrozenDb {
         let _ = self
             .stats
             .set(Arc::new(DbStats::refresh(self.relations(), prev)));
-    }
-
-    /// Melts a snapshot back into a mutable [`Database`] — the write
-    /// half of the snapshot-refresh cycle (`freeze → thaw → mutate →
-    /// freeze`).
-    ///
-    /// Every relation keeps its rows, dedup tables **and already-built
-    /// eager indexes**: inserts maintain indexes incrementally, so a
-    /// thawed database absorbs a delta and re-freezes without rebuilding
-    /// the `2^arity - 1` per-mask indexes of untouched predicates
-    /// ([`Database::freeze`]'s completion pass finds them all present
-    /// and does nothing).
-    ///
-    /// When `this` is the last handle to the snapshot the relations are
-    /// *moved* (no copy at all); while read snapshots are still live the
-    /// relations are deep-copied ([`Relation::clone_for_write`]) and the
-    /// readers keep serving the old snapshot untouched.
-    pub fn thaw(this: Arc<FrozenDb>) -> Database {
-        match Arc::try_unwrap(this) {
-            Ok(owned) => Database {
-                symbols: owned.symbols,
-                dict: owned.dict,
-                relations: owned.relations,
-                base: None,
-            },
-            Err(shared) => Database {
-                symbols: shared.symbols.clone(),
-                dict: shared.dict.clone(),
-                relations: shared
-                    .relations
-                    .iter()
-                    .map(|(&p, r)| (p, r.clone_for_write()))
-                    .collect(),
-                base: None,
-            },
-        }
     }
 
     /// A canonical, order- and dictionary-independent rendering of the
@@ -222,44 +195,68 @@ impl Database {
     /// are promoted to eager, lock-free indexes. Nothing else is built:
     /// a probe on a fresh mask auto-builds its index on first use
     /// through the thread-safe per-mask `OnceLock` path (the evaluator's
-    /// shared-index fallback, or [`Relation::lookup`]), and the *next*
-    /// freeze promotes it. Callers whose physical plans name the masks
-    /// they will probe use [`Database::freeze_with_needs`] to have them
-    /// eager from the start.
+    /// shared-index fallback, or [`Relation::lookup`]), and it becomes
+    /// eager when a later commit writes the relation
+    /// ([`Relation::clone_for_write`] carries it over). Callers whose
+    /// physical plans name the masks they will probe use
+    /// [`Database::freeze_with_needs`] to have them built from the start.
     ///
     /// Any frozen base this database was overlaid on is flattened into
-    /// the snapshot (local copy-on-write relations shadow their base
-    /// versions).
+    /// the snapshot: local copy-on-write relations shadow their base
+    /// versions, and every untouched base relation is *shared* with the
+    /// base (one `Arc` clone, no copy).
     pub fn freeze(self) -> Arc<FrozenDb> {
         self.freeze_with_needs(&[])
     }
 
     /// [`Database::freeze`], additionally building the named `(predicate,
-    /// bound-position mask)` hash indexes eagerly — the serving layer
-    /// passes the union of its cached physical plans' index needs, so
-    /// every planned probe on the new snapshot is a lock-free eager-index
-    /// hit from the first query on. Masks that do not fit the relation's
-    /// arity (or name absent predicates) are ignored.
-    pub fn freeze_with_needs(mut self, needs: &[(Sym, Mask)]) -> Arc<FrozenDb> {
-        // Flatten an overlay: pull in base relations not shadowed locally.
-        if let Some(base) = self.base.take() {
-            for (pred, rel) in base.relations() {
-                self.relations
-                    .entry(pred)
-                    .or_insert_with(|| rel.clone_for_write());
+    /// bound-position mask)` hash indexes — the serving layer passes the
+    /// union of its cached physical plans' index needs, so every planned
+    /// probe on the new snapshot finds its index built from the first
+    /// query on. Masks that do not fit the relation's arity (or name
+    /// absent predicates) are ignored.
+    ///
+    /// Relations this database wrote get the masks as eager indexes. A
+    /// relation shared with the base cannot be mutated, so a mask it
+    /// lacks is built behind its shared lazy cell instead
+    /// ([`Relation::lookup`]'s thread-safe path), which the evaluator
+    /// resolves once per rule pass — never by copying the relation.
+    pub fn freeze_with_needs(self, needs: &[(Sym, Mask)]) -> Arc<FrozenDb> {
+        let Database {
+            symbols,
+            dict,
+            relations: local,
+            base,
+        } = self;
+        let mut relations: FxHashMap<Sym, Arc<Relation>> = local
+            .into_iter()
+            .map(|(pred, mut rel)| {
+                rel.promote_lazy_indexes();
+                (pred, Arc::new(rel))
+            })
+            .collect();
+        if let Some(base) = &base {
+            for (&pred, rel) in &base.relations {
+                relations.entry(pred).or_insert_with(|| rel.clone());
             }
-        }
-        for rel in self.relations.values_mut() {
-            rel.promote_lazy_indexes();
         }
         for &(pred, mask) in needs {
-            if let Some(rel) = self.relations.get_mut(&pred) {
-                if mask != 0 && rel.arity() < 64 && mask < (1u64 << rel.arity()) {
-                    rel.ensure_index(mask);
-                }
+            let Some(rel) = relations.get_mut(&pred) else {
+                continue;
+            };
+            if mask == 0 || rel.arity() >= 64 || mask >= (1u64 << rel.arity()) {
+                continue;
+            }
+            // While `base` is alive, exactly the relations written here
+            // are unshared.
+            if let Some(written) = Arc::get_mut(rel) {
+                written.ensure_index(mask);
+            } else if rel.hash_index(mask).is_none() {
+                rel.shared_index(mask);
             }
         }
-        Arc::new(FrozenDb::new(self.symbols, self.dict, self.relations))
+        drop(base);
+        Arc::new(FrozenDb::new(symbols, dict, relations))
     }
 
     /// Creates a fresh overlay database on a frozen base: empty local
@@ -270,7 +267,8 @@ impl Database {
     /// first copies the base relation in (copy-on-write), so dedup and
     /// semi-naive deltas see the full fact set. Query programs generated
     /// by the SPARQL translation never trigger the copy — their head
-    /// predicates are namespaced per query.
+    /// predicates are namespaced per query. Store commits run on an
+    /// overlay too, and freeze it into the successor snapshot.
     pub fn overlay(base: Arc<FrozenDb>) -> Database {
         Database::with_base(base)
     }
@@ -384,26 +382,32 @@ mod tests {
     }
 
     #[test]
-    fn thaw_unique_keeps_indexes_and_absorbs_delta() {
+    fn overlay_refreeze_keeps_indexes_and_absorbs_delta() {
         let e = {
             let db = edges_db();
             db.symbols().get("edge").unwrap()
         };
         let frozen = edges_db().freeze_with_needs(&[(e, 0b01), (e, 0b10), (e, 0b11)]);
         let sig_before = frozen.content_signature();
-        let db = FrozenDb::thaw(frozen); // unique: relations are moved
-                                         // Indexes survived the thaw: all three masks still eager.
+        let db = Database::overlay(frozen.clone());
+        // The overlay reads the base's indexes: all three masks eager.
         assert_eq!(db.relation(e).unwrap().index_masks(), vec![1, 2, 3]);
-        // Re-freezing without changes reproduces the same snapshot.
+        // Re-freezing without changes reproduces the same snapshot, and
+        // shares the untouched relation instead of copying it.
         let refrozen = db.freeze();
         assert_eq!(refrozen.content_signature(), sig_before);
+        assert!(std::ptr::eq(
+            refrozen.relation(e).unwrap(),
+            frozen.relation(e).unwrap()
+        ));
         // ... and a delta keeps the indexes current through re-freeze.
-        let mut db = FrozenDb::thaw(refrozen);
+        let mut db = Database::overlay(refrozen);
         let row = [
             db.dict().encode(&Const::Int(100)),
             db.dict().encode(&Const::Int(0)),
         ];
         assert!(db.add_fact_ids(e, &row));
+        assert_eq!(db.rows_copied(), 50, "the written relation is copied");
         let again = db.freeze();
         let rel = again.relation(e).unwrap();
         assert_eq!(rel.len(), 51);
@@ -413,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn lazily_built_masks_survive_thaw_and_refreeze() {
+    fn lazily_built_masks_are_promoted_when_written() {
         let frozen = edges_db().freeze();
         let e = frozen.symbols().get("edge").unwrap();
         let rel = frozen.relation(e).unwrap();
@@ -422,26 +426,51 @@ mod tests {
         assert_eq!(rel.lookup(0b10, &key).len(), 1);
         assert!(rel.index_masks().is_empty(), "still lazy, not eager");
 
-        // ...and the thaw → re-freeze cycle promotes it to an eager
-        // index, visible in the snapshot's content signature.
-        let again = FrozenDb::thaw(frozen).freeze();
+        // ...an untouched relation is shared as is by the next freeze...
+        let shared = Database::overlay(frozen.clone()).freeze();
+        assert!(shared.relation(e).unwrap().index_masks().is_empty());
+
+        // ...and a commit that writes the relation promotes it to an
+        // eager index, visible in the snapshot's content signature.
+        let mut db = Database::overlay(frozen);
+        let row = [
+            db.dict().encode(&Const::Int(100)),
+            db.dict().encode(&Const::Int(0)),
+        ];
+        assert!(db.add_fact_ids(e, &row));
+        let again = db.freeze();
         let rel = again.relation(e).unwrap();
         assert_eq!(rel.index_masks(), vec![0b10], "probed mask promoted");
-        assert_eq!(rel.indexed_rows(0b10), Some(50), "complete and current");
+        assert_eq!(rel.indexed_rows(0b10), Some(51), "complete and current");
         let name = again.symbols().resolve(e);
         assert!(
             again
                 .content_signature()
-                .contains(&format!("@index {name} mask=0b10 rows=50/50")),
+                .contains(&format!("@index {name} mask=0b10 rows=51/51")),
             "signature records the promoted index"
         );
     }
 
     #[test]
-    fn thaw_shared_leaves_live_readers_untouched() {
+    fn named_masks_on_shared_relations_build_behind_the_lazy_cell() {
+        let frozen = edges_db().freeze();
+        let e = frozen.symbols().get("edge").unwrap();
+        let again = Database::overlay(frozen.clone()).freeze_with_needs(&[(e, 0b01)]);
+        let rel = again.relation(e).unwrap();
+        assert!(std::ptr::eq(rel, frozen.relation(e).unwrap()), "shared");
+        assert!(
+            rel.index_masks().is_empty(),
+            "no eager index on a shared relation"
+        );
+        let key = crate::database::project(rel.row(0), 0b01);
+        assert_eq!(rel.lookup(0b01, &key).len(), 1);
+    }
+
+    #[test]
+    fn commit_overlay_leaves_live_readers_untouched() {
         let frozen = edges_db().freeze();
         let reader = frozen.clone();
-        let mut db = FrozenDb::thaw(frozen); // shared: relations are copied
+        let mut db = Database::overlay(frozen);
         let e = db.symbols().get("edge").unwrap();
         let row = [
             db.dict().encode(&Const::Int(7)),
@@ -449,6 +478,8 @@ mod tests {
         ];
         db.add_fact_ids(e, &row);
         assert_eq!(db.relation(e).unwrap().len(), 51);
+        let after = db.freeze();
+        assert_eq!(after.relation(e).unwrap().len(), 51);
         assert_eq!(reader.relation(e).unwrap().len(), 50, "reader unchanged");
     }
 

@@ -6,9 +6,9 @@
 //! over each relation's flat `Copy` rows (strided sampling above
 //! [`SAMPLE_LIMIT`] rows), performed once per frozen snapshot —
 //! [`FrozenDb::stats`](crate::frozen::FrozenDb::stats) memoises the
-//! result behind a `OnceLock` — and maintained incrementally across the
-//! store's thaw/re-freeze commit path: [`DbStats::refresh`] reuses the
-//! entries of relations whose row counts did not change, so a commit
+//! result behind a `OnceLock` — and maintained incrementally from one
+//! snapshot to its successor at commit time: [`DbStats::refresh`] reuses
+//! the entries of relations whose row counts did not change, so a commit
 //! touching one predicate re-scans only that predicate.
 //!
 //! The planner ([`crate::plan`]) turns these into selectivity estimates:
@@ -142,7 +142,7 @@ impl DbStats {
         }
     }
 
-    /// Incremental refresh across a thaw/re-freeze cycle: reuses `prev`'s
+    /// Incremental refresh from a predecessor snapshot: reuses `prev`'s
     /// entry for every relation whose row count (and arity) is unchanged
     /// and re-scans only the rest. A removal+insertion pair that leaves
     /// the row count identical keeps the old distinct estimates — they

@@ -7,10 +7,11 @@
 
 mod common;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{boot, get_query, request, Client, TestServer};
-use sparqlog::{Store, Term};
+use common::{boot, boot_shared, get_query, request, Client, TestServer};
+use sparqlog::{Axiom, Budget, Ontology, Store, Term};
 use sparqlog_http::{percent_encode, ServerConfig};
 
 const PREFIX: &str = "PREFIX ex: <http://ex.org/> ";
@@ -361,6 +362,47 @@ fn update_then_query_visibility() {
         Some("INSERT DATA { broken".as_bytes()),
     );
     assert_eq!(r.status, 400, "{}", r.text());
+}
+
+/// An update aborted by the store's default budget (a 1-row cap on an
+/// ontology store's commit) is a 408; the server keeps answering
+/// queries from the pre-update version, and the same update succeeds
+/// once the budget is lifted.
+#[test]
+fn aborted_update_leaves_server_serving() {
+    let store = Arc::new(fixture_store());
+    store
+        .add_ontology(&Ontology::new().with(Axiom::SubClassOf(
+            "http://ex.org/Student".into(),
+            "http://ex.org/Person".into(),
+        )))
+        .unwrap();
+    let server = boot_shared(store.clone(), ServerConfig::default());
+    let post_update = |text: &str| {
+        request(
+            server.addr,
+            "POST",
+            "/update",
+            &[("Content-Type", "application/sparql-update")],
+            Some(text.as_bytes()),
+        )
+    };
+    let insert = format!("{PREFIX}INSERT DATA {{ ex:dave a ex:Student }}");
+    let ask = format!("{PREFIX}ASK {{ ex:dave a ex:Person }}");
+    let no = "{\"head\":{},\"boolean\":false}";
+    let yes = "{\"head\":{},\"boolean\":true}";
+
+    store.set_default_budget(Budget::new().with_max_rows(1));
+    let r = post_update(&insert);
+    assert_eq!(r.status, 408, "{}", r.text());
+    let r = get_query(server.addr, &ask, None);
+    assert_eq!((r.status, r.text()), (200, no));
+
+    store.set_default_budget(Budget::new());
+    let r = post_update(&insert);
+    assert_eq!(r.status, 204, "{}", r.text());
+    let r = get_query(server.addr, &ask, None);
+    assert_eq!((r.status, r.text()), (200, yes));
 }
 
 // ------------------------------------------------------ percent-decode

@@ -6,7 +6,9 @@
 //! time, derived rows, or dictionary growth, and/or hooks it to a
 //! [`CancelToken`]; a query that crosses a limit returns a structured
 //! `Aborted` error telling you which limit tripped and how far execution
-//! got — and the store keeps serving as if nothing happened.
+//! got — and the store keeps serving as if nothing happened. The same
+//! holds for commits: an aborted commit leaves the previous version
+//! installed.
 //!
 //! ```sh
 //! cargo run --example timeouts
@@ -14,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use sparqlog::{Budget, CancelToken, SparqLogError, Store};
+use sparqlog::{Axiom, Budget, CancelToken, Ontology, SparqLogError, Store};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A ring with shortcuts: the full transitive closure over it is big
@@ -87,9 +89,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let aborted = results.iter().filter(|r| r.is_err()).count();
     println!("batch under default budget: {aborted}/3 aborted");
 
-    // Nothing is poisoned: lift the default and the same query completes.
+    // 5. Commits run under the default budget too. Twelve
+    //    super-properties of ex:next entail 12 × 480 new triples, more
+    //    than the 5 000-row cap, so materialising them aborts the commit
+    //    — and the store keeps serving the version it had.
+    let facts = store.fact_count();
+    let mut onto = Ontology::new();
+    for k in 0..12 {
+        onto = onto.with(Axiom::SubPropertyOf(
+            "http://ex.org/next".into(),
+            format!("http://ex.org/link{k}"),
+        ));
+    }
+    match store.add_ontology(&onto) {
+        Err(e @ SparqLogError::Aborted { .. }) => println!("commit:   {e}"),
+        other => return Err(format!("commit: expected an abort, got {other:?}").into()),
+    }
+    assert_eq!(store.fact_count(), facts, "the pre-commit version serves");
+    let hop = "PREFIX ex: <http://ex.org/> ASK { ex:n0 ex:next ex:n1 }";
+    println!("after the aborted commit: {:?}", store.execute(hop)?);
+
+    // Nothing is poisoned: lift the default and the same query — and the
+    // same commit — complete.
     store.set_default_budget(Budget::new());
     let full = store.execute(runaway)?;
     println!("without limits: {} result rows", full.len());
+    store.add_ontology(&onto)?;
+    println!(
+        "ontology installed: {} -> {} facts",
+        facts,
+        store.fact_count()
+    );
     Ok(())
 }
